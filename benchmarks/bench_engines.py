@@ -1,27 +1,24 @@
-"""ENGINES — object vs batched vs vectorized backends on the matching
-workload.
+"""ENGINES — object vs vectorized backends on the matching workload.
 
 The acceptance claims of the ``repro.api`` engine subsystem, measured on
 the matching suite's workload (the proposal algorithm on 2-colored double
 covers):
 
-* the CSR-batched engine is ≥ **1.5×** faster than the object engine at
-  n = 2000 (the PR 4 claim, still gated);
-* the numpy vectorized engine is ≥ **10×** faster than the batched engine
-  at the largest size both run (n = 10^5 in full mode), while producing
+* the numpy vectorized engine (production) is ≥ **15×** faster than the
+  object engine (the reference oracle) at the largest size both run
+  (n = 10^5 in full mode, 2·10^4 in smoke mode), while producing
   byte-identical reports;
 * the vectorized engine sustains a scaling curve through **n = 10^7**
-  (recorded, vectorized-only — the per-node engines are too slow there).
+  (recorded, vectorized-only — the per-node engine is too slow there).
 
 Dual mode:
 
-* ``pytest benchmarks/bench_engines.py`` — asserts both speedup criteria
-  on the smoke matrix plus end-to-end byte identity (skipping vectorized
-  claims gracefully where numpy is absent);
+* ``pytest benchmarks/bench_engines.py`` — asserts the speedup criterion
+  on the smoke matrix plus end-to-end byte identity;
 * ``python benchmarks/bench_engines.py [--smoke] [--out F] [--baseline F]
   [--tolerance 0.25]`` — measures the size × engine matrix, writes
   ``BENCH_engines.json`` (canonical schema: n, wall-time per engine,
-  speedups) and exits non-zero when a criterion fails or any speedup
+  speedup) and exits non-zero when the criterion fails or the speedup
   regresses more than ``--tolerance`` versus a checked-in baseline
   (speedups are compared, not absolute seconds, so the gate is
   machine-portable).
@@ -35,8 +32,6 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
-
 from repro import api
 from repro.api.engines import resolve_engine
 from repro.utils.serialization import canonical_dumps
@@ -46,25 +41,25 @@ SCHEMA = "repro.bench/engines/v1"
 
 DELTA = 4
 
-#: PR 4's criterion: batched ≥ 1.5× object at n = 2000.
-BATCHED_CRITERION_SPEEDUP = 1.5
-
-#: This PR's criterion: vectorized ≥ 10× batched at the largest size both
+#: The criterion: vectorized ≥ 15× object at the largest size both
 #: engines run (the last workload row naming both).
-VECTORIZED_CRITERION_SPEEDUP = 10.0
+CRITERION_SPEEDUP = 15.0
+
+#: The gated speedup: object seconds / vectorized seconds.
+SPEEDUP_KEY = "speedup_vectorized_vs_object"
 
 #: (n, engines to time at that size).  Sizes where an engine is absent are
-#: deliberate: per-node engines at n = 10^6 would take minutes per run —
+#: deliberate: the per-node engine at n = 10^6 would take minutes per run —
 #: that row records the vectorized scaling point, not a comparison.
 WORKLOADS: dict[str, tuple[tuple[int, tuple[str, ...]], ...]] = {
     "smoke": (
-        (2_000, ("object", "batched", "vectorized")),
-        (20_000, ("batched", "vectorized")),
+        (2_000, ("object", "vectorized")),
+        (20_000, ("object", "vectorized")),
     ),
     "full": (
-        (2_000, ("object", "batched", "vectorized")),
-        (10_000, ("object", "batched", "vectorized")),
-        (100_000, ("batched", "vectorized")),
+        (2_000, ("object", "vectorized")),
+        (10_000, ("object", "vectorized")),
+        (100_000, ("object", "vectorized")),
         (1_000_000, ("vectorized",)),
         (10_000_000, ("vectorized",)),
     ),
@@ -78,13 +73,6 @@ HEAVY_CUTOFF_SECONDS = 2.0
 #: excluded from the baseline regression gate: millisecond-scale ratios
 #: are too noisy on shared CI runners to gate on.
 MIN_GATE_SECONDS = 0.05
-
-#: The speedup keys a baseline can gate on, with their (numerator,
-#: denominator) engines — numerator seconds / denominator seconds.
-SPEEDUP_KEYS = {
-    "speedup_batched_vs_object": ("object", "batched"),
-    "speedup_vectorized_vs_batched": ("batched", "vectorized"),
-}
 
 
 def _prepared(n: int):
@@ -113,16 +101,10 @@ def measure(mode: str, repeats: int = 3) -> dict:
 
     Every size cross-checks that all engines timed there produce the
     identical outputs and round count — a benchmark that silently
-    compared different results would be meaningless.  Engines that are
-    not registered (vectorized without numpy) are skipped, never timed
-    as zero.
+    compared different results would be meaningless.
     """
-    registered = set(api.available_engines())
     records = []
-    for n, engine_names in WORKLOADS[mode]:
-        names = [name for name in engine_names if name in registered]
-        if not names:
-            continue
+    for n, names in WORKLOADS[mode]:
         network, program = _prepared(n)
         seconds: dict[str, float] = {}
         reference = None
@@ -146,57 +128,37 @@ def measure(mode: str, repeats: int = 3) -> dict:
                 name: round(value, 6) for name, value in seconds.items()
             },
         }
-        for key, (slow, fast) in SPEEDUP_KEYS.items():
-            if slow in seconds and fast in seconds:
-                record[key] = round(seconds[slow] / seconds[fast], 3)
+        if len(seconds) == 2:
+            record[SPEEDUP_KEY] = round(
+                seconds["object"] / seconds["vectorized"], 3
+            )
         records.append(record)
     return {
         "schema": SCHEMA,
         "mode": mode,
-        "criteria": {
-            "speedup_batched_vs_object": BATCHED_CRITERION_SPEEDUP,
-            "speedup_vectorized_vs_batched": VECTORIZED_CRITERION_SPEEDUP,
-        },
+        "criteria": {SPEEDUP_KEY: CRITERION_SPEEDUP},
         "workloads": records,
     }
 
 
-def criterion_speedups(payload: dict) -> dict[str, float | None]:
-    """The gated speedups: batched-vs-object at the smallest size naming
-    both, vectorized-vs-batched at the largest (``None`` when the engine
-    pair never ran, e.g. vectorized without numpy)."""
-    batched = [
-        record["speedup_batched_vs_object"]
+def criterion_speedup(payload: dict) -> float:
+    """The gated speedup, at the largest size timing both engines (every
+    mode has one)."""
+    return [
+        record[SPEEDUP_KEY]
         for record in payload["workloads"]
-        if "speedup_batched_vs_object" in record
-    ]
-    vectorized = [
-        record["speedup_vectorized_vs_batched"]
-        for record in payload["workloads"]
-        if "speedup_vectorized_vs_batched" in record
-    ]
-    return {
-        "speedup_batched_vs_object": batched[0] if batched else None,
-        "speedup_vectorized_vs_batched": vectorized[-1] if vectorized else None,
-    }
+        if SPEEDUP_KEY in record
+    ][-1]
 
 
 def criterion_failures(payload: dict) -> list[str]:
-    speedups = criterion_speedups(payload)
-    failures = []
-    value = speedups["speedup_batched_vs_object"]
-    if value is not None and value < BATCHED_CRITERION_SPEEDUP:
-        failures.append(
-            f"criterion: batched only {value:.2f}x vs object; "
-            f"criterion is {BATCHED_CRITERION_SPEEDUP}x"
-        )
-    value = speedups["speedup_vectorized_vs_batched"]
-    if value is not None and value < VECTORIZED_CRITERION_SPEEDUP:
-        failures.append(
-            f"criterion: vectorized only {value:.2f}x vs batched; "
-            f"criterion is {VECTORIZED_CRITERION_SPEEDUP}x"
-        )
-    return failures
+    value = criterion_speedup(payload)
+    if value >= CRITERION_SPEEDUP:
+        return []
+    return [
+        f"criterion: vectorized only {value:.2f}x vs object; "
+        f"criterion is {CRITERION_SPEEDUP}x"
+    ]
 
 
 def compare_with_baseline(
@@ -205,7 +167,7 @@ def compare_with_baseline(
     """Regression messages for every speedup that dropped more than
     ``tolerance`` (fraction) below the baseline's.
 
-    Millisecond-scale rows (the slower engine under ``MIN_GATE_SECONDS``)
+    Millisecond-scale rows (the object engine under ``MIN_GATE_SECONDS``)
     are skipped — their ratios are dominated by scheduler noise on shared
     runners.
     """
@@ -214,22 +176,18 @@ def compare_with_baseline(
     }
     problems = []
     for record in payload["workloads"]:
-        expected_record = baseline_records.get(record["n"])
-        if expected_record is None:
+        expected = baseline_records.get(record["n"], {}).get(SPEEDUP_KEY)
+        measured = record.get(SPEEDUP_KEY)
+        if expected is None or measured is None:
             continue
-        for key, (slow, _fast) in SPEEDUP_KEYS.items():
-            expected = expected_record.get(key)
-            measured = record.get(key)
-            if expected is None or measured is None:
-                continue
-            if record["seconds"].get(slow, 0.0) < MIN_GATE_SECONDS:
-                continue
-            floor = expected * (1.0 - tolerance)
-            if measured < floor:
-                problems.append(
-                    f"n={record['n']} {key}: {measured:.2f}x < "
-                    f"{floor:.2f}x (baseline {expected:.2f}x - {tolerance:.0%})"
-                )
+        if record["seconds"]["object"] < MIN_GATE_SECONDS:
+            continue
+        floor = expected * (1.0 - tolerance)
+        if measured < floor:
+            problems.append(
+                f"n={record['n']} {SPEEDUP_KEY}: {measured:.2f}x < "
+                f"{floor:.2f}x (baseline {expected:.2f}x - {tolerance:.0%})"
+            )
     return problems
 
 
@@ -239,18 +197,13 @@ def _print(payload: dict) -> None:
         return "-" if value is None else f"{value:.4f}"
 
     print_table(
-        ["n", "object (s)", "batched (s)", "vectorized (s)",
-         "batched x", "vectorized x"],
+        ["n", "object (s)", "vectorized (s)", "vectorized x"],
         [
             (
                 record["n"],
                 cell(record, "object"),
-                cell(record, "batched"),
                 cell(record, "vectorized"),
-                f"{record['speedup_batched_vs_object']:.2f}x"
-                if "speedup_batched_vs_object" in record else "-",
-                f"{record['speedup_vectorized_vs_batched']:.2f}x"
-                if "speedup_vectorized_vs_batched" in record else "-",
+                f"{record[SPEEDUP_KEY]:.2f}x" if SPEEDUP_KEY in record else "-",
             )
             for record in payload["workloads"]
         ],
@@ -263,27 +216,12 @@ def _print(payload: dict) -> None:
 # --------------------------------------------------------------------------
 
 
-def test_engine_speedup_criteria():
-    """Both tentpole performance criteria on the smoke matrix, with output
-    identity cross-checked inside ``measure``.  The vectorized criterion
-    is asserted only where numpy (and thus the engine) is present."""
+def test_engine_speedup_criterion():
+    """The performance criterion on the smoke matrix, with output identity
+    cross-checked inside ``measure``."""
     payload = measure("smoke")
     _print(payload)
-    speedups = criterion_speedups(payload)
-    batched = speedups["speedup_batched_vs_object"]
-    assert batched is not None and batched >= BATCHED_CRITERION_SPEEDUP, (
-        f"batched engine only {batched}x vs object; criterion is "
-        f"{BATCHED_CRITERION_SPEEDUP}x"
-    )
-    vectorized = speedups["speedup_vectorized_vs_batched"]
-    if "vectorized" not in api.available_engines():
-        pytest.skip("numpy unavailable: vectorized engine not registered")
-    assert vectorized is not None and (
-        vectorized >= VECTORIZED_CRITERION_SPEEDUP
-    ), (
-        f"vectorized engine only {vectorized}x vs batched; criterion is "
-        f"{VECTORIZED_CRITERION_SPEEDUP}x"
-    )
+    assert criterion_failures(payload) == []
 
 
 def test_engines_byte_identical_end_to_end():

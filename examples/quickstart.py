@@ -21,7 +21,7 @@ from repro.solvers import solve_bipartite
 def main() -> None:
     # 0. The one-call façade: spec → algorithm → engine → checker.
     report = api.solve("matching:Δ=4,x=0,y=1",
-                       algorithm="matching:proposal", engine="batched", seed=0)
+                       algorithm="matching:proposal", engine="vectorized", seed=0)
     print(f"api.solve: {report.problem} via {report.algorithm} on the "
           f"{report.engine} engine → rounds={report.rounds}, "
           f"|M|={len(report.outputs)}, valid={report.valid}")

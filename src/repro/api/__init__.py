@@ -12,9 +12,9 @@ on a graph, check the output, measure rounds — as one coherent API:
   (:class:`Algorithm`, :func:`available_algorithms`);
 * **engines** are pluggable execution backends behind a common
   ``Engine.run(network, program, *, seed, max_rounds, probe)`` contract —
-  ``"object"`` (the reference simulator) and ``"batched"`` (CSR-flattened
-  batch delivery loops) ship, and both must be observationally identical
-  (:class:`Engine`, :func:`available_engines`);
+  ``"object"`` (the reference simulator) and ``"vectorized"`` (numpy
+  struct-of-arrays kernels) ship, and both must be observationally
+  identical (:class:`Engine`, :func:`available_engines`);
 * the façade functions :func:`solve`, :func:`check` and :func:`simulate`
   compose them end-to-end, returning a unified :class:`SolveReport`.
 
@@ -23,7 +23,7 @@ Quickstart::
     from repro import api
     report = api.solve("matching:Δ=4,x=0,y=1",
                        algorithm="matching:proposal",
-                       engine="batched", seed=0)
+                       engine="vectorized", seed=0)
     assert report.valid and report.rounds > 0
 """
 

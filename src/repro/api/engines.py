@@ -11,20 +11,14 @@ same delivered/dropped counters, same protocol-violation errors — the
 property CI's engine-parity job and ``tests/api/test_engine_parity.py``
 enforce.  Only speed may differ.
 
-Three backends ship:
+Two backends ship:
 
-* ``"object"`` — the reference engine,
+* ``"object"`` — the reference engine (the oracle),
   :func:`repro.local.simulator.run_synchronous`, unchanged;
-* ``"batched"`` — :func:`repro.local.batched.run_batched`, which compiles
-  the network into CSR-style adjacency arrays and runs send/deliver/
-  receive as per-round batch loops over preallocated inboxes (measured
-  ≥1.5× on the matching suite at n ≥ 2000; see
-  ``benchmarks/bench_engines.py``);
-* ``"vectorized"`` — :func:`repro.local.vectorized.run_vectorized`, which
-  runs opted-in algorithms as numpy struct-of-arrays kernels with zero
-  per-node Python in the hot loop (and falls back to object semantics
-  for the rest).  numpy is an optional extra: the engine registers only
-  where numpy imports, and is simply absent otherwise.
+* ``"vectorized"`` — the production engine,
+  :func:`repro.local.vectorized.run_vectorized`, which runs opted-in
+  algorithms as numpy struct-of-arrays kernels with zero per-node Python
+  in the hot loop (and falls back to object semantics for the rest).
 """
 
 from __future__ import annotations
@@ -33,9 +27,9 @@ from collections.abc import Callable
 
 from repro.api.errors import UnknownEngineError
 from repro.api.types import MessagePassingProgram
-from repro.local.batched import run_batched
 from repro.local.network import Network
 from repro.local.simulator import RoundTrace, RunResult, run_synchronous
+from repro.local.vectorized import run_vectorized
 from repro.utils import InvalidParameterError
 
 #: Engine registry: name → engine instance.
@@ -63,42 +57,20 @@ class Engine:
 
 
 class _SimulatorEngine(Engine):
-    """An engine delegating to a ``run_synchronous``-compatible runner."""
+    """An engine delegating to a ``run_synchronous``-compatible runner.
 
-    def __init__(self, name: str, runner: Callable[..., RunResult]) -> None:
-        self.name = name
-        self._runner = runner
-
-    def run(
-        self,
-        network: Network,
-        program: MessagePassingProgram,
-        *,
-        seed: int = 0,
-        max_rounds: int = 10_000,
-        probe: Callable[[RoundTrace], None] | None = None,
-    ) -> RunResult:
-        rng_for = (
-            program.rng_streams(network, seed) if program.rng_streams else None
-        )
-        return self._runner(
-            network,
-            program.factory,
-            max_rounds=max_rounds,
-            extra=program.extra,
-            rng_for=rng_for,
-            on_round=probe,
-        )
-
-
-class _VectorizedEngine(_SimulatorEngine):
-    """The vectorized engine: same runner protocol plus the kernel spec.
-
-    Identical to :class:`_SimulatorEngine` except that the program's
-    :class:`~repro.api.types.VectorizedSpec` is forwarded so the runner
-    can pick a batch kernel (or fall back to object semantics).
+    ``takes_spec`` runners additionally receive the program's
+    :class:`~repro.api.types.VectorizedSpec` (``vectorized=``), so they
+    can pick a batch kernel or fall back to object semantics.
     """
 
+    def __init__(
+        self, name: str, runner: Callable[..., RunResult], *, takes_spec: bool = False
+    ) -> None:
+        self.name = name
+        self._runner = runner
+        self._takes_spec = takes_spec
+
     def run(
         self,
         network: Network,
@@ -111,6 +83,7 @@ class _VectorizedEngine(_SimulatorEngine):
         rng_for = (
             program.rng_streams(network, seed) if program.rng_streams else None
         )
+        spec = {"vectorized": program.vectorized} if self._takes_spec else {}
         return self._runner(
             network,
             program.factory,
@@ -118,7 +91,7 @@ class _VectorizedEngine(_SimulatorEngine):
             extra=program.extra,
             rng_for=rng_for,
             on_round=probe,
-            vectorized=program.vectorized,
+            **spec,
         )
 
 
@@ -146,11 +119,4 @@ def resolve_engine(engine: "Engine | str") -> Engine:
 
 
 register_engine(_SimulatorEngine("object", run_synchronous))
-register_engine(_SimulatorEngine("batched", run_batched))
-
-try:
-    from repro.local.vectorized import run_vectorized
-except ModuleNotFoundError:  # numpy is an optional extra
-    pass
-else:
-    register_engine(_VectorizedEngine("vectorized", run_vectorized))
+register_engine(_SimulatorEngine("vectorized", run_vectorized, takes_spec=True))

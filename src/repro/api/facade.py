@@ -7,7 +7,7 @@ backend, validate the output, measure rounds::
     from repro import api
     report = api.solve("matching:Δ=4,x=0,y=1",
                        algorithm="matching:proposal",
-                       engine="batched", seed=0)
+                       engine="vectorized", seed=0)
     assert report.valid and report.rounds > 0
 
 ``solve`` returns a :class:`~repro.api.types.SolveReport`; ``check``

@@ -8,7 +8,7 @@ Commands:
 * ``run --suite NAME [--jobs N] [--seed K] [--engine E] [--out FILE]
   [--timings]`` — execute a suite; canonical JSON goes to ``--out`` (or
   stdout), a human summary table goes to stderr; ``--engine`` retargets
-  every scenario to a :mod:`repro.api` backend (object/batched) without
+  every scenario to a :mod:`repro.api` backend (object/vectorized) without
   changing the deterministic payload;
 * ``smoke [--jobs N] ...`` — shorthand for ``run --suite smoke``, the CI
   benchmark gate.

@@ -729,7 +729,7 @@ def service_roundtrip(scenario: Scenario, rng: random.Random) -> list[dict]:
             before = service.solves_computed
             cold = service.submit(request)
             warm = service.submit(request)
-            other_engine = "object" if scenario.engine == "batched" else "batched"
+            other_engine = "object" if scenario.engine == "vectorized" else "vectorized"
             cross = service.submit(solve_request(
                 spec, algorithm=algorithm, n=n, seed=seed, engine=other_engine,
             ))

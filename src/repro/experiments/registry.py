@@ -9,7 +9,6 @@ of every family sized to finish well under a minute.
 
 from __future__ import annotations
 
-from repro.api import available_engines
 from repro.experiments.scenarios import Scenario
 from repro.utils import InvalidParameterError
 
@@ -80,20 +79,14 @@ SUITES: dict[str, tuple[Scenario, ...]] = {
         # Engine twin for the newly ported ruling-set kernel: the same
         # peeling scenario through the vectorized engine must produce a
         # byte-identical run (CI diffs the two suite outputs).
-        *(
-            (
-                Scenario.create(
-                    "thm61-peeling-vectorized",
-                    pipeline="ruling_peeling",
-                    family="cage:tutte_coxeter",
-                    checker="ruling_set",
-                    beta=2,
-                    delta=3,
-                    engine="vectorized",
-                ),
-            )
-            if "vectorized" in available_engines()
-            else ()
+        Scenario.create(
+            "thm61-peeling-vectorized",
+            pipeline="ruling_peeling",
+            family="cage:tutte_coxeter",
+            checker="ruling_set",
+            beta=2,
+            delta=3,
+            engine="vectorized",
         ),
     ),
     "arbdefective": (
@@ -305,10 +298,7 @@ SUITES: dict[str, tuple[Scenario, ...]] = {
     # The solve service (repro.service): cold/warm/duplicate cycles over
     # an in-process daemon, gating byte parity with the direct façade,
     # engine-invariant request digests and exactly-one-solve dedup.  The
-    # -batched (and, where numpy is installed, -vectorized) twins run
-    # the same cycle from the other engine sides; the twin is registered
-    # conditionally so a numpy-less checkout never carries a scenario it
-    # cannot execute.
+    # -vectorized twin runs the same cycle from the other engine side.
     "service": (
         Scenario.create(
             "service-roundtrip",
@@ -316,22 +306,10 @@ SUITES: dict[str, tuple[Scenario, ...]] = {
             duplicates=4,
         ),
         Scenario.create(
-            "service-roundtrip-batched",
+            "service-roundtrip-vectorized",
             pipeline="service_roundtrip",
             duplicates=4,
-            engine="batched",
-        ),
-        *(
-            (
-                Scenario.create(
-                    "service-roundtrip-vectorized",
-                    pipeline="service_roundtrip",
-                    duplicates=4,
-                    engine="vectorized",
-                ),
-            )
-            if "vectorized" in available_engines()
-            else ()
+            engine="vectorized",
         ),
     ),
     # The CI gate: one fast scenario per family, sized for < 60 s total.

@@ -1,6 +1,5 @@
 """LOCAL / Supported LOCAL round-by-round simulator."""
 
-from repro.local.batched import FlatNetwork, run_batched
 from repro.local.measurement import (
     EngineProbe,
     Measurement,
@@ -30,7 +29,6 @@ from repro.local.views import (
 
 __all__ = [
     "EngineProbe",
-    "FlatNetwork",
     "LocalView",
     "Measurement",
     "Network",
@@ -44,7 +42,6 @@ __all__ = [
     "collect_view",
     "measured_run_synchronous",
     "minimum_rounds",
-    "run_batched",
     "run_supported_view_algorithm",
     "run_synchronous",
     "run_view_algorithm",

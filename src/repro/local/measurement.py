@@ -90,8 +90,6 @@ def measured_run_synchronous(
     network: Network,
     factory: Callable[[NodeContext], NodeAlgorithm],
     max_rounds: int = 10_000,
-    *,
-    engine: Callable[..., RunResult] = run_synchronous,
     **kwargs,
 ) -> tuple[RunResult, Measurement]:
     """:func:`run_synchronous` instrumented with an :class:`EngineProbe`.
@@ -101,12 +99,10 @@ def measured_run_synchronous(
     not swallowed by ``**kwargs`` — because it is the non-termination
     guard: a run that exceeds it raises
     :class:`~repro.utils.SimulationError` instead of looping forever, and
-    harnesses routinely need to tighten it.  ``engine`` swaps in an
-    alternative execution backend with the same contract (e.g.
-    :func:`repro.local.batched.run_batched`).
+    harnesses routinely need to tighten it.
     """
     probe = EngineProbe()
     (result, seconds) = timed(
-        engine, network, factory, max_rounds=max_rounds, on_round=probe, **kwargs
+        run_synchronous, network, factory, max_rounds=max_rounds, on_round=probe, **kwargs
     )
     return result, probe.summarize(wall_seconds=seconds)

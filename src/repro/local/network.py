@@ -61,9 +61,8 @@ class Network:
         return self._max_degree
 
     def neighbors(self, node) -> list:
-        """Neighbors in port order."""
-        ports = self._ports[node]
-        return [ports[port] for port in sorted(ports)]
+        """Neighbors in port order (each port map is built in that order)."""
+        return list(self._ports[node].values())
 
     def port_to(self, node, neighbor) -> int:
         """The port of ``node`` leading to ``neighbor``."""

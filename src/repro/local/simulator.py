@@ -143,6 +143,9 @@ def run_synchronous(
                     f"node {node!r} halted during send() but still emitted "
                     f"messages on ports {sorted(messages, key=str)}"
                 )
+            # Set membership is the port-key coercion contract: any key
+            # equal to an int in 1..deg names that port (True, 1.0,
+            # Fraction(1, 1)); anything else is stray.
             stray = set(messages) - set(range(1, network.graph.degree(node) + 1))
             if stray:
                 raise SimulationError(

@@ -1,16 +1,15 @@
 """Vectorized synchronous engine: struct-of-arrays rounds over numpy.
 
-The object engine (:func:`repro.local.simulator.run_synchronous`) and the
-batched engine (:func:`repro.local.batched.run_batched`) both execute one
-Python callback per node per round, which caps honest experiments near
-n ≈ 10^4.  This engine removes per-node Python from the hot loop entirely:
+The object engine (:func:`repro.local.simulator.run_synchronous`) executes
+one Python callback per node per round, which caps honest experiments
+near n ≈ 10^4.  This engine removes per-node Python from the hot loop
+entirely:
 
 * the network is compiled once into numpy CSR arrays
-  (:class:`VectorNetwork`, the array form of
-  :class:`~repro.local.batched.FlatNetwork`) with two delivery maps
-  precomputed — ``owner[k]`` (which node emits half-edge ``k``) and
-  ``reverse[k]`` (the receiver-side half-edge, i.e. inbox slot, that a
-  message along ``k`` lands in);
+  (:class:`VectorNetwork`) with two delivery maps precomputed —
+  ``owner[k]`` (which node emits half-edge ``k``) and ``reverse[k]`` (the
+  receiver-side half-edge, i.e. inbox slot, that a message along ``k``
+  lands in);
 * node state lives in struct-of-arrays form — int state vectors, float
   payload vectors, boolean halted/live masks — owned by a
   :class:`VectorizedAlgorithm` *kernel*;
@@ -41,10 +40,6 @@ Kernel contract (what keeps parity cheap to reason about):
   the send phase" coincide and the engine's drop mask is exact;
 * ``halted`` is mutated in place (the engine keeps no copy);
 * :meth:`outputs_all` returns Python-native values (use ``.tolist()``).
-
-numpy is an optional extra: this module raises ``ModuleNotFoundError`` on
-import where numpy is absent, and the engine registry skips the
-``vectorized`` engine in that case.
 """
 
 from __future__ import annotations
@@ -54,7 +49,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.local.batched import FlatNetwork
 from repro.local.network import Network
 from repro.local.simulator import (
     NodeContext,
@@ -67,15 +61,16 @@ from repro.utils import SimulationError
 
 @dataclass(frozen=True)
 class VectorNetwork:
-    """:class:`FlatNetwork` recompiled into numpy CSR + delivery maps.
+    """A :class:`Network` compiled into numpy CSR arrays + delivery maps.
 
-    ``indptr``/``dest`` are the CSR arrays of the flat form; half-edge
-    ``k = indptr[i] + port - 1`` belongs to (node ``i``, ``port``).  Two
+    Nodes are indexed densely in ``network.graph.nodes`` order, and
+    half-edge ``k = indptr[i] + port - 1`` belongs to (node ``i``,
+    ``port``), so ``dest[k]`` is the neighbor behind that port.  Two
     derived arrays make whole-array delivery possible: ``owner[k]`` is the
     dense index of the node emitting ``k`` (the CSR row expanded), and
-    ``reverse[k] = indptr[dest[k]] + back_port[k] - 1`` is the half-edge
-    under which the message arrives at the receiver — scattering payloads
-    from ``k`` to ``reverse[k]`` *is* delivery.
+    ``reverse[k]`` is the half-edge under which the message arrives at the
+    receiver (``dest[k]``'s port back to ``owner[k]``) — scattering
+    payloads from ``k`` to ``reverse[k]`` *is* delivery.
     """
 
     nodes: tuple
@@ -91,15 +86,28 @@ class VectorNetwork:
 
     @classmethod
     def from_network(cls, network: Network) -> "VectorNetwork":
-        flat = FlatNetwork.of(network)
-        indptr = np.asarray(flat.indptr, dtype=np.int64)
-        dest = np.asarray(flat.dest, dtype=np.int64)
-        back_port = np.asarray(flat.back_port, dtype=np.int64)
-        degrees = np.diff(indptr)
-        owner = np.repeat(np.arange(len(flat.nodes), dtype=np.int64), degrees)
-        reverse = indptr[dest] + back_port - 1
+        nodes = tuple(network.graph.nodes)
+        n = len(nodes)
+        index = {node: i for i, node in enumerate(nodes)}
+        rows = [network.neighbors(node) for node in nodes]
+        degrees = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        dest = np.fromiter(
+            (index[neighbor] for row in rows for neighbor in row),
+            dtype=np.int64,
+            count=int(indptr[-1]),
+        )
+        owner = np.repeat(np.arange(n, dtype=np.int64), degrees)
+        # i→j and j→i are the only two half-edges keyed {i, j}, so sorting
+        # by that key puts them side by side: pairing them is the reverse.
+        key = np.minimum(owner, dest) * n + np.maximum(owner, dest)
+        order = np.argsort(key)
+        reverse = np.empty_like(order)
+        reverse[order[0::2]] = order[1::2]
+        reverse[order[1::2]] = order[0::2]
         return cls(
-            nodes=flat.nodes,
+            nodes=nodes,
             indptr=indptr,
             dest=dest,
             owner=owner,

@@ -50,6 +50,12 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 #: Retry-After value (seconds) when the envelope carries no hint.
 DEFAULT_RETRY_AFTER_HEADER = 1
 
+#: Per-connection socket timeout (seconds) for every read and write.  A
+#: client that stalls mid-headers or mid-body is disconnected instead of
+#: pinning a handler thread; the solve itself makes no socket call, so it
+#: is not bounded by this.
+CONNECTION_TIMEOUT_SECONDS = 30.0
+
 
 def _http_status(response: dict) -> int:
     if response.get("status") == "ok":
@@ -74,6 +80,7 @@ def _retry_after_header(response: dict) -> str | None:
 class _ServiceHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-solve-service/1"
+    timeout = CONNECTION_TIMEOUT_SECONDS
 
     @property
     def service(self) -> SolveService:
@@ -99,22 +106,29 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if retry_after is not None:
             self.send_header("Retry-After", retry_after)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_request_body(self):
-        length = int(self.headers.get("Content-Length", 0))
-        if length > MAX_BODY_BYTES:
-            return None, error_response(
-                "bad-request", f"request body exceeds {MAX_BODY_BYTES} bytes"
-            )
-        raw = self.rfile.read(length) if length else b""
-        try:
-            return json.loads(raw.decode("utf-8")), None
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            return None, error_response(
-                "bad-request", f"request body is not JSON: {error}"
-            )
+        declared = self.headers.get("Content-Length", "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            problem = f"invalid Content-Length {declared!r}"
+        elif int(declared) > MAX_BODY_BYTES:
+            problem = f"request body exceeds {MAX_BODY_BYTES} bytes"
+        else:
+            raw = self.rfile.read(int(declared))
+            try:
+                return json.loads(raw.decode("utf-8")), None
+            except (UnicodeDecodeError, json.JSONDecodeError) as error:
+                return None, error_response(
+                    "bad-request", f"request body is not JSON: {error}"
+                )
+        # The body was left unread, so the stream is no longer at a
+        # request boundary: answer, then drop the connection.
+        self.close_connection = True
+        return None, error_response("bad-request", problem)
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         if self.path == "/v1/request":

@@ -23,8 +23,8 @@ alias-resolves and validates every field against the façade registries
 and returns a *canonical* request dict, and :func:`request_digest`
 hashes that dict **excluding the engine** — engines are observationally
 equivalent by contract (reports exclude them from canonical JSON, the
-store memoizes across them), so a batched-engine request must hit the
-cache entry a object-engine request filled.
+store memoizes across them), so a vectorized-engine request must hit the
+cache entry an object-engine request filled.
 """
 
 from __future__ import annotations

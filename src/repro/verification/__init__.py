@@ -2,7 +2,7 @@
 implementations.
 
 The repository intentionally contains several independently-implemented
-answers to the same questions — object vs CSR-batched simulation, kernel
+answers to the same questions — object vs vectorized simulation, kernel
 vs reference round elimination, CSP search vs brute-force enumeration,
 view collection vs its definition.  This package turns that redundancy
 into a correctness harness:

@@ -249,7 +249,7 @@ def build_sat_case(params: dict):
 #: Every registered algorithm, exercised through a compatible spec.  The
 #: fuzzer varies n / seed (and thereby the seeded default network).
 #: Every registered algorithm now names a numpy kernel, so each row
-#: differentially tests a kernel against the per-node engines (the
+#: differentially tests a kernel against the per-node engine (the
 #: fallback path keeps its own coverage in tests/local/test_vectorized.py
 #: via spec-less programs).
 ENGINE_CASE_MATRIX: tuple[tuple[str, str], ...] = (

@@ -8,7 +8,7 @@ oracle                  cross-checked implementations
 ======================  ====================================================
 ``roundelim``           kernel vs reference ``apply_R`` / ``apply_R_bar`` /
                         ``round_elimination`` (:mod:`repro.roundelim`)
-``engines``             object vs batched vs vectorized execution of every
+``engines``             object vs vectorized execution of every
                         registered algorithm through
                         :func:`repro.api.solve` (every algorithm now
                         dispatches to a numpy kernel)
@@ -198,33 +198,17 @@ class EngineParityOracle(Oracle):
     """Byte parity of every registered engine against ``object``.
 
     Every registered algorithm names a numpy kernel, so each matrix row
-    differentially tests a kernel against the per-node engines (a spec
+    differentially tests a kernel against the per-node engine (a spec
     naming an unregistered kernel raises rather than falling back).
-    Where numpy is importable the ``vectorized`` engine must actually be
-    registered — a silent registration regression would otherwise shrink
-    the matrix back to two engines without failing anything.
     """
 
     name = "engines"
-    description = (
-        "object vs batched vs vectorized engine runs through repro.api.solve"
-    )
+    description = "object vs vectorized engine runs through repro.api.solve"
 
     def generate(self, rng: random.Random) -> dict:
         return random_engine_case_params(rng)
 
     def check(self, params: dict) -> str | None:
-        engines = api.available_engines()
-        try:
-            import numpy  # noqa: F401
-        except ModuleNotFoundError:
-            pass
-        else:
-            if "vectorized" not in engines:
-                return (
-                    "numpy is importable but the 'vectorized' engine is "
-                    "not registered"
-                )
         reports = {
             engine: api.solve(
                 params["spec"],
@@ -233,7 +217,7 @@ class EngineParityOracle(Oracle):
                 n=params["n"],
                 seed=params["seed"],
             )
-            for engine in engines
+            for engine in api.available_engines()
         }
         reference = reports.pop("object")
         if reference.valid is not True:

@@ -135,13 +135,11 @@ class TestRegistries:
             api.register_algorithm(NoFamilies())
 
     def test_engines_registered(self):
-        engines = api.available_engines()
-        # "vectorized" joins the list only where numpy is installed.
-        assert [e for e in engines if e != "vectorized"] == ["batched", "object"]
+        assert api.available_engines() == ["object", "vectorized"]
         assert api.resolve_engine("object").name == "object"
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(InvalidParameterError, match="batched"):
+        with pytest.raises(InvalidParameterError, match="vectorized"):
             api.resolve_engine("gpu")
 
 
@@ -150,13 +148,13 @@ class TestSolve:
         report = api.solve(
             "matching:Δ=4,x=0,y=1",
             algorithm="matching:proposal",
-            engine="batched",
+            engine="vectorized",
             seed=0,
         )
         assert isinstance(report, api.SolveReport)
         assert report.valid is True
         assert report.rounds > 0
-        assert report.engine == "batched"
+        assert report.engine == "vectorized"
         assert report.n > 0
         assert report.messages_delivered > 0
 

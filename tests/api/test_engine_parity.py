@@ -101,10 +101,10 @@ def _run_probe(engine, messages_factory):
 
 #: Port keys every engine must accept as port 1 (set-membership equality:
 #: anything == 1 names port 1) on a degree-1 node, and keys every engine
-#: must reject as stray.  The matrix pins the coercion contract the
-#: batched engine documents in a comment — bools, integral floats and
-#: integral Fractions are ports; strings, fractional values and
-#: out-of-range ints are violations.
+#: must reject as stray.  The matrix pins the coercion contract of the
+#: object engine's set-membership port check (``local/simulator.py``) —
+#: bools, integral floats and integral Fractions are ports; strings,
+#: fractional values and out-of-range ints are violations.
 ACCEPTED_PORT_KEYS = [1, True, 1.0, Fraction(1, 1)]
 REJECTED_PORT_KEYS = [0, 99, -1, "1", "a", 2.5, Fraction(3, 2), None, (1,)]
 

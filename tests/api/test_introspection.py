@@ -55,9 +55,7 @@ class TestListEngines:
         )
         defaults = [e["name"] for e in engines if e["default"]]
         assert defaults == ["object"]
-        # "vectorized" appears only where numpy is installed.
-        names = {e["name"] for e in engines} - {"vectorized"}
-        assert names == {"object", "batched"}
+        assert {e["name"] for e in engines} == {"object", "vectorized"}
 
 
 class TestDescribe:

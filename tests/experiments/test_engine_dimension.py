@@ -15,15 +15,15 @@ class TestScenarioEngineField:
 
     def test_with_engine_retargets(self):
         scenario = Scenario.create("s", pipeline="mis_supported")
-        retargeted = scenario.with_engine("batched")
-        assert retargeted.engine == "batched"
+        retargeted = scenario.with_engine("vectorized")
+        assert retargeted.engine == "vectorized"
         assert retargeted.name == scenario.name
 
     def test_engine_excluded_from_describe(self):
         """The engine is an execution detail: identical runs on different
         backends must serialize byte-identically, so it never enters the
         deterministic payload."""
-        scenario = Scenario.create("s", pipeline="mis_supported", engine="batched")
+        scenario = Scenario.create("s", pipeline="mis_supported", engine="vectorized")
         assert "engine" not in scenario.describe()
 
 
@@ -37,8 +37,8 @@ class TestEngineParityThroughPipelines:
         ],
     )
     def test_scenario_payload_identical_across_engines(self, suite, name):
-        """Every registered engine — including vectorized where numpy is
-        installed — must produce the identical pipeline payload."""
+        """Every registered engine must produce the identical pipeline
+        payload."""
         scenario = get_scenario(suite, name)
         payloads = {
             engine: execute_scenario(scenario.with_engine(engine)).payload()
@@ -54,18 +54,18 @@ class TestRunnerAndCli:
     def test_runner_engine_override(self):
         scenario = get_scenario("mis", "aapr23-petersen")
         reference = Runner(jobs=1).run_scenarios("mis", [scenario])
-        retargeted = Runner(jobs=1, engine="batched").run_scenarios(
+        retargeted = Runner(jobs=1, engine="vectorized").run_scenarios(
             "mis", [scenario]
         )
-        assert retargeted.results[0].scenario.engine == "batched"
+        assert retargeted.results[0].scenario.engine == "vectorized"
         assert retargeted.payload() == reference.payload()
 
     def test_cli_engine_flag(self, tmp_path):
         first = tmp_path / "object.json"
-        second = tmp_path / "batched.json"
+        second = tmp_path / "vectorized.json"
         assert main(["run", "--suite", "ruling_sets", "--engine", "object",
                      "--out", str(first)]) == 0
-        assert main(["run", "--suite", "ruling_sets", "--engine", "batched",
+        assert main(["run", "--suite", "ruling_sets", "--engine", "vectorized",
                      "--out", str(second)]) == 0
         assert first.read_text() == second.read_text()
 

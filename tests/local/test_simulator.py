@@ -1,5 +1,7 @@
 """Tests for the LOCAL / Supported LOCAL simulator."""
 
+import inspect
+
 import networkx as nx
 import pytest
 
@@ -274,3 +276,24 @@ class TestMeasurement:
             "messages_dropped": 0,
             "peak_live_nodes": 4,
         }
+
+
+class TestMeasuredRunMaxRounds:
+    """max_rounds is an explicit guard threaded through the measured entry
+    point (not swallowed by **kwargs)."""
+
+    def test_non_terminating_run_raises(self):
+        class Forever(NodeAlgorithm):
+            def send(self):
+                return {}
+
+            def receive(self, messages):
+                pass
+
+        network = Network(graph=cycle(3))
+        with pytest.raises(SimulationError, match="did not halt within 7"):
+            measured_run_synchronous(network, Forever, max_rounds=7)
+
+    def test_default_guard_is_finite(self):
+        signature = inspect.signature(measured_run_synchronous)
+        assert signature.parameters["max_rounds"].default == 10_000

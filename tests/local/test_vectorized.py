@@ -1,27 +1,27 @@
 """The vectorized engine: CSR array compilation, kernel dispatch, the
 drop rule over arrays, and the per-node fallback for unported programs."""
 
+import networkx as nx
+import numpy as np
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro import api  # noqa: E402
-from repro.api.types import VectorizedSpec  # noqa: E402
-from repro.graphs import cage, cycle  # noqa: E402
-from repro.local import (  # noqa: E402
+from repro import api
+from repro.api.types import VectorizedSpec
+from repro.graphs import cage, cycle
+from repro.local import (
     EngineProbe,
     Network,
     NodeAlgorithm,
     run_synchronous,
 )
-from repro.local.simulator import RoundTrace  # noqa: E402
-from repro.local.vectorized import (  # noqa: E402
+from repro.local.simulator import RoundTrace
+from repro.local.vectorized import (
     KERNELS,
     VectorizedAlgorithm,
     VectorNetwork,
     run_vectorized,
 )
-from repro.utils import SimulationError  # noqa: E402
+from repro.utils import SimulationError
 
 
 class _EchoIds(NodeAlgorithm):
@@ -60,16 +60,64 @@ class _BroadcastOnce(VectorizedAlgorithm):
         return self.heard.tolist()
 
 
+class _BroadcastOnceNode(NodeAlgorithm):
+    """Per-node twin of :class:`_BroadcastOnce` for the object engine."""
+
+    def init(self):
+        if self.ctx.extra["pre_halted"]:
+            self.halt(0)
+
+    def send(self):
+        return {port: "ping" for port in self.ctx.ports}
+
+    def receive(self, messages):
+        self.halt(len(messages))
+
+
 class _NeverHalts(VectorizedAlgorithm):
     def outputs_all(self):
         return [None] * self.vnet.n
 
 
+def _with_isolated_nodes():
+    """A triangle with isolated nodes before, between and after it."""
+    graph = nx.Graph()
+    graph.add_nodes_from([7, 3])
+    graph.add_edges_from([(0, 1), (1, 2), (2, 0)])
+    graph.add_node(9)
+    return graph
+
+
+#: Networks the default regular double covers never produce.  String and
+#: tuple labels sort differently by ``str`` than in insertion order, and
+#: random IDs reorder every node's ports.
+PORT_MAP_NETWORKS = {
+    "petersen": lambda: Network(graph=cage("petersen")[0]),
+    "empty": lambda: Network(graph=nx.Graph()),
+    "isolated-nodes": lambda: Network(graph=_with_isolated_nodes()),
+    "star": lambda: Network(graph=nx.star_graph(6)),
+    "components": lambda: Network(
+        graph=nx.disjoint_union(cycle(5), nx.complete_graph(4))
+    ),
+    "string-labels": lambda: Network(
+        graph=nx.relabel_nodes(cycle(12), lambda v: f"n{v}")
+    ),
+    "tuple-labels": lambda: Network(graph=nx.grid_2d_graph(3, 4)),
+    "random-ids": lambda: Network(
+        graph=nx.gnp_random_graph(40, 0.1, seed=3)
+    ).with_random_ids(seed=11),
+}
+
+
 class TestVectorNetwork:
-    def test_arrays_match_port_maps(self):
-        graph, _d, _g = cage("petersen")
-        network = Network(graph=graph)
+    @pytest.mark.parametrize(
+        "build", PORT_MAP_NETWORKS.values(), ids=PORT_MAP_NETWORKS.keys()
+    )
+    def test_arrays_match_port_maps(self, build):
+        network = build()
         vnet = VectorNetwork.of(network)
+        assert vnet.nodes == tuple(network.graph.nodes)
+        assert vnet.indptr[-1] == 2 * network.graph.number_of_edges()
         index = {node: i for i, node in enumerate(vnet.nodes)}
         for i, node in enumerate(vnet.nodes):
             degree = network.graph.degree(node)
@@ -127,6 +175,38 @@ class TestKernelDispatch:
                 max_rounds=5,
                 vectorized=VectorizedSpec(kernel="test:forever"),
             )
+
+    @pytest.mark.parametrize(
+        "pre_halted",
+        [frozenset(), frozenset({0}), frozenset({0, 2, 4}), frozenset(range(6))],
+        ids=["none", "one", "alternate", "all"],
+    )
+    def test_drop_rule_matches_object_engine(self, monkeypatch, pre_halted):
+        """The engine's array drop rule, not a kernel's, decides what an
+        init-halted receiver loses: results and per-round traces must equal
+        the object engine's for every halting pattern, down to a zero-round
+        run when every node halts in init."""
+        monkeypatch.setitem(KERNELS, "test:broadcast", _BroadcastOnce)
+
+        def run(engine, **kwargs):
+            probe = EngineProbe()
+            result = engine(
+                Network(graph=cycle(6)),
+                _BroadcastOnceNode,
+                extra=lambda node: {"pre_halted": node in pre_halted},
+                on_round=probe,
+                **kwargs,
+            )
+            return result, probe.traces
+
+        kernel_run = run(
+            run_vectorized,
+            vectorized=VectorizedSpec(
+                kernel="test:broadcast", data={"pre_halted": pre_halted}
+            ),
+        )
+        assert kernel_run == run(run_synchronous)
+        assert kernel_run[0].rounds == (0 if len(pre_halted) == 6 else 1)
 
     def test_shipped_programs_name_registered_kernels(self):
         """The ported suites really dispatch to kernels — a renamed kernel
@@ -236,7 +316,6 @@ class TestSweepKernelEdges:
         payload must actually land in the receiver's seen-colors row —
         chained classes down a path make every mex depend on the
         neighbor's payload from the previous round."""
-        nx = pytest.importorskip("networkx")
         network = Network(graph=nx.path_graph(5))
         program = _coloring_program(
             network, {"initial_coloring": {i: i for i in range(5)}}
@@ -253,7 +332,6 @@ class TestSweepKernelEdges:
         assert result.rounds == 5
 
     def test_empty_graph_runs_zero_rounds(self):
-        nx = pytest.importorskip("networkx")
         network = Network(graph=nx.Graph())
         program = _coloring_program(network, {})
         result = run_vectorized(

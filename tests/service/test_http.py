@@ -1,6 +1,8 @@
 """HTTP transport + client: end-to-end parity, endpoints, shutdown."""
 
 import json
+import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -12,6 +14,11 @@ from repro.service import (
     ServiceClient,
     SolveService,
     start_http_service,
+)
+from repro.service.httpd import (
+    CONNECTION_TIMEOUT_SECONDS,
+    MAX_BODY_BYTES,
+    _ServiceHandler,
 )
 from repro.utils.serialization import canonical_dumps
 
@@ -74,6 +81,69 @@ class TestEndToEnd:
         response = client.request({"schema": "bogus/v1"})
         assert response["status"] == "error"
         assert response["error"]["code"] == "unsupported-schema"
+
+
+#: The handler's socket timeout while the hostile-client matrix runs.
+STALL_TIMEOUT_SECONDS = 0.5
+
+
+def _raw_post(client, header_lines: list[str], body: bytes = b"") -> bytes:
+    """Send a hand-framed POST and read until the daemon closes."""
+    head = "".join(
+        line + "\r\n"
+        for line in ["POST /v1/request HTTP/1.1", "Host: test", *header_lines]
+    )
+    with socket.create_connection((client.host, client.port), timeout=5) as sock:
+        # Header bytes are Latin-1 on the wire, as the stdlib parser reads them.
+        sock.sendall(head.encode("latin-1") + b"\r\n" + body)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestMalformedContentLength:
+    """Hostile framing gets a 400 or a closed connection, never a stuck
+    handler thread, and the daemon keeps answering."""
+
+    @pytest.fixture
+    def client(self, live, monkeypatch):
+        # The handler reads its timeout per connection, so patching a
+        # running daemon applies to every connection opened afterwards.
+        monkeypatch.setattr(_ServiceHandler, "timeout", STALL_TIMEOUT_SECONDS)
+        return live[0]
+
+    @pytest.mark.parametrize(
+        "declared", ["abc", "-1", "1.5", "", str(MAX_BODY_BYTES + 1)]
+    )
+    def test_rejected_with_400(self, client, declared):
+        self._assert_rejected(client, declared)
+
+    @pytest.mark.parametrize("declared", ["+2", "0_2", "\N{SUPERSCRIPT TWO}"])
+    def test_int_syntax_beyond_ascii_digits_rejected(self, client, declared):
+        """Content-Length is ``1*DIGIT``: a sign, a digit separator or a
+        non-ASCII digit is a framing error, although ``int()`` parses the
+        first two as 2 and ``str.isdigit()`` accepts the third."""
+        self._assert_rejected(client, declared)
+
+    @staticmethod
+    def _assert_rejected(client, declared):
+        raw = _raw_post(client, [f"Content-Length: {declared}"], b"{}")
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), raw
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"]["code"] == "bad-request"
+        assert client.ping() is True
+
+    def test_body_shorter_than_declared_is_dropped(self, client):
+        start = time.monotonic()
+        raw = _raw_post(client, ["Content-Length: 100"], b'{"schema":')
+        assert raw == b""
+        assert time.monotonic() - start < STALL_TIMEOUT_SECONDS + 2
+        assert client.ping() is True
+
+    def test_handler_timeout_is_a_fixed_constant(self):
+        assert _ServiceHandler.timeout == CONNECTION_TIMEOUT_SECONDS
 
 
 class TestEndpoints:

@@ -59,12 +59,12 @@ class TestCanonicalizeSolve:
         base = canonical(solve_request(
             "matching:delta=3", algorithm="matching:proposal", n=16
         ))
-        batched = canonical(solve_request(
+        vectorized = canonical(solve_request(
             "matching:delta=3", algorithm="matching:proposal", n=16,
-            engine="batched",
+            engine="vectorized",
         ))
-        assert base["engine"] != batched["engine"]
-        assert request_digest(base) == request_digest(batched)
+        assert base["engine"] != vectorized["engine"]
+        assert request_digest(base) == request_digest(vectorized)
 
     def test_digest_sensitive_to_parameters(self):
         reference = canonical(solve_request(

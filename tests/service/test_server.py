@@ -43,7 +43,7 @@ class TestSolvePath:
 
     def test_engine_variants_share_one_entry(self, service):
         first = service.submit(matching_request(engine="object"))
-        second = service.submit(matching_request(engine="batched"))
+        second = service.submit(matching_request(engine="vectorized"))
         assert first["cached"] is False
         assert second["cached"] is True
         assert second["digest"] == first["digest"]

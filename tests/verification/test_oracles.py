@@ -99,7 +99,7 @@ def test_engines_oracle_catches_a_diverging_backend(monkeypatch):
 
     def skewed(spec, **kwargs):
         report = real(spec, **kwargs)
-        if kwargs.get("engine") == "batched":
+        if kwargs.get("engine") == "vectorized":
             object.__setattr__(report, "rounds", report.rounds + 1)
         return report
 
