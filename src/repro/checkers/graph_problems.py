@@ -127,27 +127,66 @@ def check_arbdefective_coloring(
     return _ok()
 
 
+def hop_distances(graph: nx.Graph, sources) -> dict:
+    """Multi-source BFS: the hop distance from the nearest of ``sources``
+    to every node reachable from them, keyed in discovery order.
+
+    Edge attributes are ignored, so a ``weight`` never stretches a hop.
+    Raises :class:`networkx.NodeNotFound` for a source outside the graph.
+    """
+    distances = {}
+    for source in sources:
+        if source not in graph:
+            raise nx.NodeNotFound(f"Node {source} not found in graph")
+        distances[source] = 0
+    frontier = list(distances)
+    hops = 0
+    while frontier:
+        hops += 1
+        reached = []
+        for node in frontier:
+            for neighbor in graph.neighbors(node):
+                if neighbor not in distances:
+                    distances[neighbor] = hops
+                    reached.append(neighbor)
+        frontier = reached
+    return distances
+
+
 def check_ruling_set(
     graph: nx.Graph, ruling_set: set, beta: int, independent: bool = False
 ) -> CheckResult:
-    """β-domination: every node has an S-member within distance β.
+    """β-domination: every node has an S-member within β hops.
 
     With ``independent=True`` additionally checks S is independent (the
-    (2,β)-ruling set condition)."""
+    (2,β)-ruling set condition).  One O(n + m) pass that reports the
+    first violation in a fixed order: ``str``-sorted S for members outside
+    the graph and for adjacent members, ``graph.nodes`` for coverage.
+    Self-loops do not break independence."""
     if not ruling_set:
         if graph.number_of_nodes() == 0:
             return _ok()
         return _fail("empty ruling set on a non-empty graph")
-    distances = nx.multi_source_dijkstra_path_length(graph, set(ruling_set))
+    foreign = [node for node in ruling_set if node not in graph]
+    if foreign:
+        return _fail(f"S member {min(foreign, key=str)!r} is not a graph node")
+    distances = hop_distances(graph, ruling_set)
     for node in graph.nodes:
         if distances.get(node, float("inf")) > beta:
             return _fail(f"node {node!r} is farther than β = {beta} from S")
     if independent:
+        # Report the adjacent pair (u, v), u ranked before v, that comes
+        # first in str-rank order: the reason is part of canonical records.
         members = sorted(ruling_set, key=str)
+        rank = {node: index for index, node in enumerate(members)}
         for index, u in enumerate(members):
-            for v in members[index + 1 :]:
-                if graph.has_edge(u, v):
-                    return _fail(f"S contains adjacent nodes {u!r}, {v!r}")
+            later = [
+                position
+                for v in graph.neighbors(u)
+                if (position := rank.get(v, -1)) > index
+            ]
+            if later:
+                return _fail(f"S contains adjacent nodes {u!r}, {members[min(later)]!r}")
     return _ok()
 
 

@@ -167,13 +167,12 @@ def ruling_set_to_family_labels(
     (1 ≤ i ≤ β) points with P_i along one shortest path towards S and
     outputs U_i elsewhere.
     """
-    import networkx as nx
-
+    from repro.checkers.graph_problems import hop_distances
     from repro.problems.arbdefective import arbdefective_to_family_labels
 
     if not ruling_set:
         raise InvalidParameterError("the ruling set must be non-empty")
-    distances = nx.multi_source_dijkstra_path_length(graph, set(ruling_set))
+    distances = hop_distances(graph, set(ruling_set))
     too_far = [node for node, dist in distances.items() if dist > beta]
     if too_far or len(distances) < graph.number_of_nodes():
         raise InvalidParameterError(

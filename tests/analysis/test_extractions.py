@@ -31,6 +31,7 @@ from repro.problems import (
     arbdefective_to_family_labels,
     pi_arbdefective,
     pi_ruling,
+    pointer_label,
     ruling_set_to_family_labels,
 )
 from repro.utils import CertificateError
@@ -174,6 +175,12 @@ class TestLemma66Peeling:
         graph, labels = self._ruling_instance(beta=2)
         problem = pi_ruling(3, 1, 2)
         assert check_half_edge_labeling(graph, problem, labels)
+
+    def test_conversion_counts_hops_not_weights(self):
+        graph = nx.path_graph(3)
+        nx.set_edge_attributes(graph, 5, "weight")
+        labels = ruling_set_to_family_labels(graph, {1}, {1: 1}, set(), alpha=0, beta=1)
+        assert labels[(0, 1)] == labels[(2, 1)] == pointer_label(1)
 
     def test_classification_covers_s(self):
         graph, labels = self._ruling_instance(beta=2)

@@ -241,6 +241,14 @@ class TestCheck:
         mis = api.solve("mis:Δ=3", algorithm="mis:aapr23", network=network)
         assert bool(api.check("mis", network, mis.outputs))
 
+    def test_foreign_member_is_a_failed_check(self):
+        graph, _d, _g = cage("petersen")
+        mis = api.solve("mis:Δ=3", algorithm="mis:aapr23", graph=graph)
+        verdict = api.check("mis", graph, set(mis.outputs) | {"ghost"})
+        assert verdict == CheckResult(
+            valid=False, reason="S member 'ghost' is not a graph node"
+        )
+
     def test_uncheckable_family_lists_checkable(self):
         with pytest.raises(InvalidParameterError, match="checkable"):
             api.check("outdegree-dominating:Δ=3,α=1", None, set())

@@ -1,9 +1,13 @@
 """Tests for the validity checkers, including failure injection."""
 
+import random
+import time
+
 import networkx as nx
 import pytest
 
 from repro.checkers import (
+    CheckResult,
     check_arbdefective_colored_ruling_set,
     check_arbdefective_coloring,
     check_bipartite_solution,
@@ -110,6 +114,132 @@ class TestRulingSetCheckers:
         assert not check_arbdefective_colored_ruling_set(
             graph, {0, 4}, {0: 1, 4: 1}, set(), alpha=0, colors=1, beta=1
         )
+
+    def test_domination_counts_hops_not_weights(self):
+        graph = nx.path_graph(3)
+        nx.set_edge_attributes(graph, 5, "weight")
+        assert check_ruling_set(graph, {1}, beta=1)
+        assert check_mis(graph, {1})
+
+    def test_foreign_member_reported_first_in_str_order(self):
+        graph = nx.path_graph(3)
+        expected = CheckResult(valid=False, reason="S member 7 is not a graph node")
+        assert check_mis(graph, {1, 7, "x"}) == expected
+        assert check_ruling_set(graph, {"x", 7}, beta=2) == expected
+        assert check_arbdefective_colored_ruling_set(
+            graph, {1, 7}, {1: 1, 7: 1}, set(), alpha=0, colors=1, beta=1
+        ) == expected
+        assert check_mis(nx.Graph(), {0}) == CheckResult(
+            valid=False, reason="S member 0 is not a graph node"
+        )
+
+    def test_first_adjacent_pair_follows_str_order(self):
+        graph = nx.Graph([(10, 11), (2, 11)])
+        assert check_mis(graph, {2, 10, 11}) == CheckResult(
+            valid=False, reason="S contains adjacent nodes 10, 11"
+        )
+
+
+def _pairwise_check_ruling_set(graph, ruling_set, beta):
+    """Reference for ``check_ruling_set(..., independent=True)``: Dijkstra
+    (hop distance on these unweighted graphs) and a scan of every pair."""
+    if not ruling_set:
+        if graph.number_of_nodes() == 0:
+            return CheckResult(valid=True)
+        return CheckResult(valid=False, reason="empty ruling set on a non-empty graph")
+    distances = nx.multi_source_dijkstra_path_length(graph, set(ruling_set))
+    for node in graph.nodes:
+        if distances.get(node, float("inf")) > beta:
+            return CheckResult(
+                valid=False, reason=f"node {node!r} is farther than β = {beta} from S"
+            )
+    members = sorted(ruling_set, key=str)
+    for index, u in enumerate(members):
+        for v in members[index + 1 :]:
+            if graph.has_edge(u, v):
+                return CheckResult(
+                    valid=False, reason=f"S contains adjacent nodes {u!r}, {v!r}"
+                )
+    return CheckResult(valid=True)
+
+
+def _with_isolated_nodes():
+    graph = nx.path_graph(8)
+    graph.add_nodes_from(range(8, 11))
+    return graph
+
+
+def _cycle_with_self_loops():
+    graph = nx.cycle_graph(9)
+    graph.add_edges_from((node, node) for node in range(9))
+    return graph
+
+
+_SHAPES = {
+    "random-regular": lambda: nx.random_regular_graph(3, 24, seed=1),
+    "path": lambda: nx.path_graph(15),
+    "star": lambda: nx.star_graph(9),
+    "disconnected": lambda: nx.disjoint_union(nx.cycle_graph(7), nx.path_graph(6)),
+    "isolated-nodes": _with_isolated_nodes,
+    "self-loops": _cycle_with_self_loops,
+}
+
+# Integer IDs ≥ 10 of mixed digit counts sort differently by str than by
+# value, so a checker that sorted numerically would report another pair.
+_LABELS = {
+    "int-ge-10": lambda node: 10 + 37 * node,
+    "str": lambda node: f"v{node}",
+    "tuple": lambda node: (node % 3, node),
+}
+
+
+def _seeded_mis(graph, rng):
+    order = list(graph.nodes)
+    rng.shuffle(order)
+    chosen, blocked = set(), set()
+    for node in order:
+        if node not in blocked:
+            chosen.add(node)
+            blocked.add(node)
+            blocked.update(graph.neighbors(node))
+    return chosen
+
+
+class TestRulingSetReasonParity:
+    @pytest.mark.parametrize("labels", sorted(_LABELS))
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_matches_pairwise_reference(self, shape, labels):
+        graph = nx.relabel_nodes(_SHAPES[shape](), _LABELS[labels])
+        for seed in range(3):
+            rng = random.Random(seed)
+            valid = _seeded_mis(graph, rng)
+            planted = set(valid)
+            for member in rng.sample(sorted(valid, key=str), min(3, len(valid))):
+                planted.update(v for v in graph.neighbors(member) if v != member)
+            uncovered = set(valid)
+            uncovered.discard(rng.choice(sorted(valid, key=str)))
+            for beta in (1, 2):
+                for members in (valid, planted, uncovered):
+                    assert check_ruling_set(
+                        graph, members, beta, independent=True
+                    ) == _pairwise_check_ruling_set(graph, members, beta)
+            assert check_mis(graph, valid)
+            if planted != valid:
+                assert "adjacent" in check_mis(graph, planted).reason
+            assert not check_mis(graph, uncovered)
+
+
+class TestCheckerScale:
+    def test_mis_check_is_linear_at_n_20000(self):
+        graph = nx.random_regular_graph(4, 20_000, seed=0)
+        independent_set = _seeded_mis(graph, random.Random(0))
+        start = time.perf_counter()
+        result = check_mis(graph, independent_set)
+        elapsed = time.perf_counter() - start
+        assert result
+        # A pairwise scan of S makes ~2·10⁷ has_edge calls here; the
+        # linear pass makes ~10⁵ adjacency steps.
+        assert elapsed < 0.5
 
 
 class TestSinklessOrientationChecker:
