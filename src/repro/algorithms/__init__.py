@@ -1,5 +1,10 @@
-"""Distributed upper-bound algorithms bracketing the paper's lower bounds."""
+"""Distributed upper-bound algorithms bracketing the paper's lower bounds.
 
+Importing a module registers its algorithms with :mod:`repro.api`, so
+every module is imported here, including ``mis``, which exports nothing.
+"""
+
+from repro.algorithms import mis  # noqa: F401
 from repro.algorithms.arbdefective_dist import (
     class_sweep_arbdefective_coloring,
     verify_class_sweep_construction,
@@ -8,31 +13,16 @@ from repro.algorithms.coloring_dist import (
     class_sweep_coloring,
     coloring_from_ids,
 )
-from repro.algorithms.matching_dist import (
-    bipartite_maximal_matching,
-    greedy_maximal_matching,
-)
-from repro.algorithms.mis import luby_mis, supported_mis_by_coloring
-from repro.algorithms.orientation import (
-    global_sinkless_orientation,
-    supported_sinkless_orientation_rounds,
-)
-from repro.algorithms.ruling_dist import (
-    mis_from_ruling_sweep,
-    ruling_set_by_class_sweep,
-)
+from repro.algorithms.matching_dist import greedy_maximal_matching
+from repro.algorithms.orientation import global_sinkless_orientation
+from repro.algorithms.ruling_dist import ruling_set_by_class_sweep
 
 __all__ = [
-    "bipartite_maximal_matching",
     "class_sweep_arbdefective_coloring",
     "class_sweep_coloring",
     "coloring_from_ids",
     "global_sinkless_orientation",
     "greedy_maximal_matching",
-    "luby_mis",
-    "mis_from_ruling_sweep",
     "ruling_set_by_class_sweep",
-    "supported_mis_by_coloring",
-    "supported_sinkless_orientation_rounds",
     "verify_class_sweep_construction",
 ]

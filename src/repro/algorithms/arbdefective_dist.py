@@ -16,7 +16,7 @@ from __future__ import annotations
 import networkx as nx
 
 from repro.api.registry import Algorithm, register_algorithm
-from repro.api.types import MessagePassingProgram, ProblemSpec, VectorizedSpec
+from repro.api.types import MessagePassingProgram, ProblemSpec
 from repro.checkers.graph_problems import CheckResult, check_arbdefective_coloring
 from repro.local.network import Network
 from repro.local.simulator import NodeAlgorithm
@@ -121,7 +121,8 @@ class ClassSweepArbdefective(Algorithm):
     A message program since the vectorized port: starts from a proper
     coloring (option ``proper_coloring``; default the shared class-sweep
     (Δ+1)-coloring, whose rounds are included in the accounting as idle
-    engine rounds) and sweeps its classes.  Class peers decide
+    engine rounds) and sweeps its classes into the spec's ``c`` buckets
+    (2 when absent).  Class peers decide
     simultaneously — they are non-adjacent in a proper coloring, so the
     result is identical to the sequential
     :func:`class_sweep_arbdefective_coloring`.  The finalized solution is
@@ -131,7 +132,7 @@ class ClassSweepArbdefective(Algorithm):
 
     name = "arbdefective:class-sweep"
     families = ("arbdefective",)
-    kind = "message"
+    options = ("proper_coloring",)
     description = "α-arbdefective c-coloring by class sweep (α = ⌊Δ/c⌋)"
 
     def program(
@@ -140,7 +141,7 @@ class ClassSweepArbdefective(Algorithm):
         from repro.algorithms.coloring_dist import class_sweep_coloring
 
         graph = network.graph
-        colors = options.get("colors", spec.param("colors", 2))
+        colors = spec.param("colors", 2)
         if colors < 1:
             raise InvalidParameterError(f"need c ≥ 1, got {colors}")
         proper = options.get("proper_coloring")
@@ -155,35 +156,21 @@ class ClassSweepArbdefective(Algorithm):
                 raise InvalidParameterError(
                     f"input coloring is not proper: edge {(u, v)} monochromatic"
                 )
-        num_classes = len(distinct)
-        rank_of = {node: rank[proper[node]] for node in graph.nodes}
-
-        def extra(node) -> dict:
-            return {
-                "rank": rank_of[node],
-                "num_classes": num_classes,
-                "offset": offset,
-                "num_buckets": colors,
-            }
-
         return MessagePassingProgram(
             factory=_ArbdefectiveSweepNode,
-            extra=extra,
-            vectorized=VectorizedSpec(
-                kernel="arbdefective:class-sweep",
-                data={
-                    "rank_of": rank_of,
-                    "num_classes": num_classes,
-                    "offset": offset,
-                    "num_buckets": colors,
-                },
-            ),
+            kernel="arbdefective:class-sweep",
+            per_node={"rank": {node: rank[proper[node]] for node in graph.nodes}},
+            shared={
+                "num_classes": len(distinct),
+                "offset": offset,
+                "num_buckets": colors,
+            },
         )
 
     def finalize(
         self, network: Network, spec: ProblemSpec, options: dict, outputs: dict
     ) -> dict:
-        colors = options.get("colors", spec.param("colors", 2))
+        colors = spec.param("colors", 2)
         color_of: dict = {}
         orientation: set[tuple] = set()
         for node, out in outputs.items():

@@ -14,7 +14,7 @@ from __future__ import annotations
 import networkx as nx
 
 from repro.api.registry import Algorithm, register_algorithm
-from repro.api.types import MessagePassingProgram, ProblemSpec, VectorizedSpec
+from repro.api.types import MessagePassingProgram, ProblemSpec
 from repro.graphs.chromatic import greedy_coloring
 from repro.local.network import Network
 from repro.local.simulator import NodeAlgorithm
@@ -132,7 +132,7 @@ class ClassSweepColoring(Algorithm):
 
     name = "coloring:class-sweep"
     families = ("coloring",)
-    kind = "message"
+    options = ("initial_coloring",)
     description = "(Δ+1)-coloring: sweep the classes of a free coloring"
 
     def program(
@@ -141,18 +141,11 @@ class ClassSweepColoring(Algorithm):
         initial = options.get("initial_coloring")
         if initial is None:
             initial = greedy_coloring(network.graph)
-        num_classes = max(initial.values(), default=-1) + 1
-
-        def extra(node) -> dict:
-            return {"initial_color": initial[node], "num_classes": num_classes}
-
         return MessagePassingProgram(
             factory=_ClassSweepNode,
-            extra=extra,
-            vectorized=VectorizedSpec(
-                kernel="coloring:class-sweep",
-                data={"initial_coloring": initial, "num_classes": num_classes},
-            ),
+            kernel="coloring:class-sweep",
+            per_node={"initial_color": initial},
+            shared={"num_classes": max(initial.values(), default=-1) + 1},
         )
 
     def finalize(

@@ -12,15 +12,14 @@ so every node can run exactly 2Δ′ rounds and halt — round complexity
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import networkx as nx
 
 from repro.api.registry import Algorithm, register_algorithm
-from repro.api.types import MessagePassingProgram, ProblemSpec, VectorizedSpec
+from repro.api.types import MessagePassingProgram, ProblemSpec
 from repro.graphs.double_cover import mark_bipartition
 from repro.local.network import Network
-from repro.local.simulator import NodeAlgorithm, RunResult, run_synchronous
+from repro.local.simulator import NodeAlgorithm
+from repro.utils import InvalidParameterError
 
 
 class _ProposalNode(NodeAlgorithm):
@@ -33,7 +32,8 @@ class _ProposalNode(NodeAlgorithm):
 
     def init(self) -> None:
         self.color = self.ctx.extra["color"]
-        self.input_ports = self.ctx.extra["input_ports"]
+        # Absent when G′ = G: every port leads into the input graph.
+        self.input_ports = self.ctx.extra.get("input_ports", self.ctx.ports)
         self.total_phases = self.ctx.extra["delta_prime"]
         self.round = 0
         self.matched_port: int | None = None
@@ -73,35 +73,34 @@ class _ProposalNode(NodeAlgorithm):
             self.halt({"matched": self.matched_port})
 
 
-def input_delta_prime(input_edges: frozenset) -> int:
-    """Δ′: the maximum degree of the input graph G′ = ``input_edges``."""
-    input_graph_degrees: dict = {}
-    for edge in input_edges:
-        for endpoint in edge:
-            input_graph_degrees[endpoint] = input_graph_degrees.get(endpoint, 0) + 1
-    return max(input_graph_degrees.values(), default=0)
+def input_ports(network: Network, input_edges) -> dict:
+    """Each node's sorted ports into the input graph G′ = ``input_edges``.
 
-
-def proposal_extra(network: Network, input_edges: frozenset) -> Callable:
-    """The per-node knowledge of the proposal algorithm: own color, input
-    ports (ports leading into G′) and Δ′ (part of the model's initial
-    knowledge)."""
+    The model requires G′ ⊆ G: an input edge that is not an edge of the
+    support graph — unhashable endpoints included — raises
+    :class:`InvalidParameterError` naming the first such edge in ``str``
+    order.
+    """
     support = network.graph
-    delta_prime = input_delta_prime(input_edges)
-
-    def extra(node) -> dict:
-        input_ports = sorted(
-            network.port_to(node, neighbor)
-            for neighbor in support.neighbors(node)
-            if frozenset((node, neighbor)) in input_edges
+    ports: dict = {node: set() for node in support.nodes}
+    foreign = []
+    for edge in input_edges:
+        try:
+            u, v = edge
+            inside = support.has_edge(u, v)
+        except (TypeError, ValueError):
+            inside = False
+        if not inside:
+            foreign.append(edge)
+            continue
+        ports[u].add(network.port_to(u, v))
+        ports[v].add(network.port_to(v, u))
+    if foreign:
+        raise InvalidParameterError(
+            f"input edge {min(foreign, key=str)!r} is not an edge of the "
+            f"support graph (the model requires G′ ⊆ G)"
         )
-        return {
-            "color": support.nodes[node]["color"],
-            "input_ports": input_ports,
-            "delta_prime": delta_prime,
-        }
-
-    return extra
+    return {node: sorted(node_ports) for node, node_ports in ports.items()}
 
 
 def matching_from_outputs(network: Network, outputs: dict) -> set[frozenset]:
@@ -118,34 +117,20 @@ def matching_from_outputs(network: Network, outputs: dict) -> set[frozenset]:
     return matching
 
 
-def bipartite_maximal_matching(
-    support: nx.Graph, input_edges: frozenset
-) -> tuple[set[frozenset], int]:
-    """Run the proposal algorithm; return (matching, rounds used).
-
-    ``support`` must carry white/black ``color`` attributes; the matching
-    is computed on the input graph G′ = ``input_edges``.
-    """
-    network = Network(graph=support)
-    result: RunResult = run_synchronous(
-        network, _ProposalNode, extra=proposal_extra(network, input_edges)
-    )
-    return matching_from_outputs(network, result.outputs), result.rounds
-
-
 class ProposalMatching(Algorithm):
     """``"matching:proposal"`` — the proposal algorithm behind the façade.
 
     Runs on any 2-colored support graph (uncolored bipartite graphs are
     2-colored in place).  Option ``input_edges`` restricts the matching
-    to an input subgraph G′ ⊆ G; the default is G′ = G.  A maximal
-    matching is x-maximal and y-bounded for every x ≥ 0, y ≥ 1, so the
-    whole Π_Δ(x,y) family is declared compatible.
+    to an input subgraph G′ ⊆ G; the default is G′ = G, where Δ′ is the
+    network's Δ and no node is told its input ports.  A maximal matching
+    is x-maximal and y-bounded for every x ≥ 0, y ≥ 1, so the whole
+    Π_Δ(x,y) family is declared compatible.
     """
 
     name = "matching:proposal"
     families = ("matching", "maximal-matching")
-    kind = "message"
+    options = ("input_edges",)
     description = "O(Δ') proposal matching on 2-colored support graphs"
 
     def program(
@@ -154,25 +139,18 @@ class ProposalMatching(Algorithm):
         support = network.graph
         if any("color" not in support.nodes[node] for node in support.nodes):
             mark_bipartition(support)
-        restricted = options.get("input_edges") is not None
-        if restricted:
-            input_edges = frozenset(
-                frozenset(edge) for edge in options["input_edges"]
-            )
+        per_node = {"color": dict(support.nodes(data="color"))}
+        input_edges = options.get("input_edges")
+        if input_edges is None:
+            delta_prime = network.max_degree
         else:
-            input_edges = frozenset(frozenset(edge) for edge in support.edges)
+            ports = per_node["input_ports"] = input_ports(network, input_edges)
+            delta_prime = max(map(len, ports.values()), default=0)
         return MessagePassingProgram(
             factory=_ProposalNode,
-            extra=proposal_extra(network, input_edges),
-            vectorized=VectorizedSpec(
-                kernel="matching:proposal",
-                data={
-                    # None ⇒ G′ = G: every port is an input port, and the
-                    # kernel skips the per-edge membership scan.
-                    "input_edges": input_edges if restricted else None,
-                    "delta_prime": input_delta_prime(input_edges),
-                },
-            ),
+            kernel="matching:proposal",
+            per_node=per_node,
+            shared={"delta_prime": delta_prime},
         )
 
     def finalize(

@@ -2,11 +2,11 @@
 
 Two algorithms bracket the paper's §1.1 discussion of [AAPR23]:
 
-* :func:`supported_mis_by_coloring` — the χ_G-round Supported LOCAL upper
-  bound: every node knows G, so all nodes compute the *same* coloring of G
-  without communication, then process color classes one round each.
-  Theorem 1.7 shows this is optimal for deterministic algorithms.
-* :func:`luby_mis` — Luby's randomized MIS in the plain LOCAL model, as a
+* ``"mis:aapr23"`` — the χ_G-round Supported LOCAL upper bound: every
+  node knows G, so all nodes compute the *same* coloring of G without
+  communication, then process color classes one round each.  Theorem 1.7
+  shows this is optimal for deterministic algorithms.
+* ``"mis:luby"`` — Luby's randomized MIS in the plain LOCAL model, as a
   baseline exercising the randomized simulator path.
 """
 
@@ -15,13 +15,11 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 
-import networkx as nx
-
 from repro.api.registry import Algorithm, register_algorithm
-from repro.api.types import MessagePassingProgram, ProblemSpec, VectorizedSpec
+from repro.api.types import MessagePassingProgram, ProblemSpec
 from repro.graphs.chromatic import greedy_coloring
 from repro.local.network import Network
-from repro.local.simulator import NodeAlgorithm, RunResult, run_synchronous
+from repro.local.simulator import NodeAlgorithm
 
 
 class _ColorClassMISNode(NodeAlgorithm):
@@ -49,26 +47,6 @@ class _ColorClassMISNode(NodeAlgorithm):
         self.round += 1
         if self.round >= self.num_colors:
             self.halt(self.in_mis)
-
-
-def supported_mis_by_coloring(support: nx.Graph) -> tuple[set, int]:
-    """The [AAPR23] χ_G-round MIS in the Supported LOCAL model.
-
-    The shared greedy coloring of the support graph is free (0 rounds:
-    everyone knows G and computes the same coloring); the class sweep
-    costs one round per color.  Returns (MIS, rounds) where rounds equals
-    the number of colors used.
-    """
-    coloring = greedy_coloring(support)
-    num_colors = max(coloring.values(), default=-1) + 1
-    network = Network(graph=support)
-
-    def extra(node) -> dict:
-        return {"color": coloring[node], "num_colors": num_colors}
-
-    result: RunResult = run_synchronous(network, _ColorClassMISNode, extra=extra)
-    mis = {node for node, joined in result.outputs.items() if joined}
-    return mis, result.rounds
 
 
 class _LubyNode(NodeAlgorithm):
@@ -131,23 +109,6 @@ def luby_rng_streams(network: Network, seed: int) -> Callable:
     return lambda node: sources[node]
 
 
-def luby_mis(graph: nx.Graph, seed: int = 0) -> tuple[set, int]:
-    """Luby's randomized MIS (plain LOCAL); returns (MIS, rounds).
-
-    Terminates with probability 1; expected O(log n) phases.  Ties are
-    broken by fresh draws each phase; isolated nodes join immediately.
-    """
-    network = Network(graph=graph)
-    result = run_synchronous(
-        network,
-        _LubyNode,
-        rng_for=luby_rng_streams(network, seed),
-        max_rounds=10_000,
-    )
-    mis = {node for node, joined in result.outputs.items() if joined}
-    return mis, result.rounds
-
-
 def _mis_from_outputs(outputs: dict) -> set:
     return {node for node, joined in outputs.items() if joined}
 
@@ -162,25 +123,17 @@ class SupportedMIS(Algorithm):
 
     name = "mis:aapr23"
     families = ("mis",)
-    kind = "message"
     description = "[AAPR23] χ_G-round Supported LOCAL MIS by color classes"
 
     def program(
         self, network: Network, spec: ProblemSpec, options: dict
     ) -> MessagePassingProgram:
         coloring = greedy_coloring(network.graph)
-        num_colors = max(coloring.values(), default=-1) + 1
-
-        def extra(node) -> dict:
-            return {"color": coloring[node], "num_colors": num_colors}
-
         return MessagePassingProgram(
             factory=_ColorClassMISNode,
-            extra=extra,
-            vectorized=VectorizedSpec(
-                kernel="mis:class-sweep",
-                data={"coloring": coloring, "num_colors": num_colors},
-            ),
+            kernel="mis:class-sweep",
+            per_node={"color": coloring},
+            shared={"num_colors": max(coloring.values(), default=-1) + 1},
         )
 
     def finalize(
@@ -194,16 +147,13 @@ class LubyMIS(Algorithm):
 
     name = "mis:luby"
     families = ("mis",)
-    kind = "message"
     description = "Luby's randomized MIS, seeded per-node randomness"
 
     def program(
         self, network: Network, spec: ProblemSpec, options: dict
     ) -> MessagePassingProgram:
         return MessagePassingProgram(
-            factory=_LubyNode,
-            rng_streams=luby_rng_streams,
-            vectorized=VectorizedSpec(kernel="mis:luby"),
+            factory=_LubyNode, kernel="mis:luby", rng_streams=luby_rng_streams
         )
 
     def finalize(

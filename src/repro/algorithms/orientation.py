@@ -17,7 +17,7 @@ from __future__ import annotations
 import networkx as nx
 
 from repro.api.registry import Algorithm, register_algorithm
-from repro.api.types import MessagePassingProgram, ProblemSpec, VectorizedSpec
+from repro.api.types import MessagePassingProgram, ProblemSpec
 from repro.local.network import Network
 from repro.local.simulator import NodeAlgorithm
 from repro.utils import GraphConstructionError
@@ -64,15 +64,6 @@ def global_sinkless_orientation(graph: nx.Graph) -> dict[frozenset, object]:
     return orientation
 
 
-def supported_sinkless_orientation_rounds(graph: nx.Graph) -> int:
-    """Round complexity of SO in Supported LOCAL when G′ = G: zero.
-
-    Provided as an explicit, documented constant so experiment tables can
-    cite it next to the Δ′ < Δ lower bound.
-    """
-    return 0
-
-
 class _OrientationNode(NodeAlgorithm):
     """Halts at init with the precomputed outgoing ports: zero rounds."""
 
@@ -91,7 +82,6 @@ class GlobalSinklessOrientation(Algorithm):
 
     name = "sinkless-orientation:global"
     families = ("sinkless-orientation",)
-    kind = "message"
     description = "0-round sinkless orientation from global knowledge of G"
 
     def program(
@@ -104,17 +94,10 @@ class GlobalSinklessOrientation(Algorithm):
             out_ports[tail].append(network.port_to(tail, head))
         for ports in out_ports.values():
             ports.sort()
-
-        def extra(node) -> dict:
-            return {"out_ports": out_ports[node]}
-
         return MessagePassingProgram(
             factory=_OrientationNode,
-            extra=extra,
-            vectorized=VectorizedSpec(
-                kernel="sinkless-orientation:global",
-                data={"out_ports": out_ports},
-            ),
+            kernel="sinkless-orientation:global",
+            per_node={"out_ports": out_ports},
         )
 
     def finalize(

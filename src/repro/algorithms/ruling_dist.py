@@ -14,7 +14,7 @@ from __future__ import annotations
 import networkx as nx
 
 from repro.api.registry import Algorithm, register_algorithm
-from repro.api.types import MessagePassingProgram, ProblemSpec, VectorizedSpec
+from repro.api.types import MessagePassingProgram, ProblemSpec
 from repro.graphs.chromatic import greedy_coloring
 from repro.local.network import Network
 from repro.local.simulator import NodeAlgorithm
@@ -68,11 +68,6 @@ def _within_distance(graph: nx.Graph, node, targets: set, beta: int) -> bool:
     return False
 
 
-def mis_from_ruling_sweep(graph: nx.Graph, coloring: dict | None = None) -> tuple[set, int]:
-    """MIS = (2,1)-ruling set via the sweep (cross-checks the MIS module)."""
-    return ruling_set_by_class_sweep(graph, beta=1, coloring=coloring)
-
-
 class _ClassSweepRulingNode(NodeAlgorithm):
     """Phase c (β rounds): unruled class-c nodes select, flood a β-hop wave.
 
@@ -122,10 +117,10 @@ class _ClassSweepRulingNode(NodeAlgorithm):
 class ClassSweepRulingSet(Algorithm):
     """``"ruling-set:class-sweep"`` — (2,β)-ruling sets from a coloring.
 
-    A true message program since the vectorized port: β defaults to the
-    spec's ``β`` parameter, and β = 1 makes it an MIS algorithm, so both
-    families are declared.  Option ``coloring`` overrides the shared
-    greedy coloring.
+    A true message program since the vectorized port: β is the spec's
+    ``β`` parameter (1 when absent), and β = 1 makes it an MIS algorithm,
+    so both families are declared.  Option ``coloring`` overrides the
+    shared greedy coloring.
 
     The wave construction lets *all* unruled class peers select
     simultaneously, so for β ≥ 2 the selected set can differ from the
@@ -137,38 +132,26 @@ class ClassSweepRulingSet(Algorithm):
 
     name = "ruling-set:class-sweep"
     families = ("ruling-set", "mis")
-    kind = "message"
+    options = ("coloring",)
     description = "(2,β)-ruling set by class sweep over a free coloring"
 
     def program(
         self, network: Network, spec: ProblemSpec, options: dict
     ) -> MessagePassingProgram:
-        beta = options.get("beta", spec.param("beta", 1))
+        beta = spec.param("beta", 1)
         if beta < 1:
             raise InvalidParameterError(f"need β ≥ 1, got {beta}")
         coloring = options.get("coloring")
         if coloring is None:
             coloring = greedy_coloring(network.graph)
-        num_classes = max(coloring.values(), default=-1) + 1
-
-        def extra(node) -> dict:
-            return {
-                "class_index": coloring[node],
-                "num_classes": num_classes,
-                "beta": beta,
-            }
-
         return MessagePassingProgram(
             factory=_ClassSweepRulingNode,
-            extra=extra,
-            vectorized=VectorizedSpec(
-                kernel="ruling-set:class-sweep",
-                data={
-                    "class_of": coloring,
-                    "num_classes": num_classes,
-                    "beta": beta,
-                },
-            ),
+            kernel="ruling-set:class-sweep",
+            per_node={"class_index": coloring},
+            shared={
+                "num_classes": max(coloring.values(), default=-1) + 1,
+                "beta": beta,
+            },
         )
 
     def finalize(

@@ -38,7 +38,6 @@ from repro.api.engines import (
 from repro.api.errors import (
     AlgorithmMismatchError,
     ApiError,
-    EngineMismatchError,
     SpecError,
     UnknownAlgorithmError,
     UnknownEngineError,
@@ -80,7 +79,6 @@ __all__ = [
     "DEFAULT_ENGINE",
     "ENGINES",
     "Engine",
-    "EngineMismatchError",
     "FAMILY_CHECKERS",
     "MessagePassingProgram",
     "ProblemSpec",

@@ -16,9 +16,14 @@ Two backends ship:
 * ``"object"`` — the reference engine (the oracle),
   :func:`repro.local.simulator.run_synchronous`, unchanged;
 * ``"vectorized"`` — the production engine,
-  :func:`repro.local.vectorized.run_vectorized`, which runs opted-in
-  algorithms as numpy struct-of-arrays kernels with zero per-node Python
-  in the hot loop (and falls back to object semantics for the rest).
+  :func:`repro.local.vectorized.run_vectorized`, which runs a program's
+  registered numpy struct-of-arrays kernel with zero per-node Python in
+  the hot loop (a program without one is refused).
+
+Both read the program's one knowledge declaration (``per_node`` and
+``shared``): the object engine projects it per node into ``ctx.extra``,
+the kernels take the maps whole.  Each engine keeps its runner as
+``_runner``, so a tracer can wrap the run without touching the adapter.
 """
 
 from __future__ import annotations
@@ -56,20 +61,17 @@ class Engine:
         raise NotImplementedError
 
 
-class _SimulatorEngine(Engine):
-    """An engine delegating to a ``run_synchronous``-compatible runner.
+def _rng_for(program: MessagePassingProgram, network: Network, seed: int):
+    return program.rng_streams(network, seed) if program.rng_streams else None
 
-    ``takes_spec`` runners additionally receive the program's
-    :class:`~repro.api.types.VectorizedSpec` (``vectorized=``), so they
-    can pick a batch kernel or fall back to object semantics.
-    """
 
-    def __init__(
-        self, name: str, runner: Callable[..., RunResult], *, takes_spec: bool = False
-    ) -> None:
-        self.name = name
-        self._runner = runner
-        self._takes_spec = takes_spec
+class _ObjectEngine(Engine):
+    """The oracle: :func:`run_synchronous`, one node program per node."""
+
+    name = "object"
+
+    def __init__(self) -> None:
+        self._runner = run_synchronous
 
     def run(
         self,
@@ -80,18 +82,47 @@ class _SimulatorEngine(Engine):
         max_rounds: int = 10_000,
         probe: Callable[[RoundTrace], None] | None = None,
     ) -> RunResult:
-        rng_for = (
-            program.rng_streams(network, seed) if program.rng_streams else None
-        )
-        spec = {"vectorized": program.vectorized} if self._takes_spec else {}
+        shared, per_node = program.shared, program.per_node
+
+        def extra(node) -> dict:
+            own = {key: values[node] for key, values in per_node.items()}
+            return {**shared, **own}
+
         return self._runner(
             network,
             program.factory,
             max_rounds=max_rounds,
-            extra=program.extra,
-            rng_for=rng_for,
+            extra=extra,
+            rng_for=_rng_for(program, network, seed),
             on_round=probe,
-            **spec,
+        )
+
+
+class _VectorizedEngine(Engine):
+    """The production engine: :func:`run_vectorized` on the program's kernel."""
+
+    name = "vectorized"
+
+    def __init__(self) -> None:
+        self._runner = run_vectorized
+
+    def run(
+        self,
+        network: Network,
+        program: MessagePassingProgram,
+        *,
+        seed: int = 0,
+        max_rounds: int = 10_000,
+        probe: Callable[[RoundTrace], None] | None = None,
+    ) -> RunResult:
+        return self._runner(
+            network,
+            program.kernel,
+            program.per_node,
+            program.shared,
+            max_rounds=max_rounds,
+            rng_for=_rng_for(program, network, seed),
+            on_round=probe,
         )
 
 
@@ -118,5 +149,5 @@ def resolve_engine(engine: "Engine | str") -> Engine:
         raise UnknownEngineError(engine, available_engines()) from None
 
 
-register_engine(_SimulatorEngine("object", run_synchronous))
-register_engine(_SimulatorEngine("vectorized", run_vectorized, takes_spec=True))
+register_engine(_ObjectEngine())
+register_engine(_VectorizedEngine())

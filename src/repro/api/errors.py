@@ -80,14 +80,6 @@ class AlgorithmMismatchError(ApiError):
         self.family = family
 
 
-class EngineMismatchError(ApiError):
-    """An algorithm was driven through an execution path its kind forbids
-    (compiling a ``"global"`` algorithm to a message-passing program, or
-    running a ``"message"`` algorithm from global knowledge)."""
-
-    code = "engine-mismatch"
-
-
 def error_code(error: BaseException) -> str:
     """The stable wire code for an exception.
 

@@ -196,6 +196,17 @@ def _resolve_pair(
     return spec, resolved
 
 
+def _check_options(algorithm: Algorithm, options: dict) -> None:
+    """Reject solve options ``algorithm`` does not declare (a typo'd or
+    foreign key must not be silently ignored)."""
+    unknown = sorted(set(options) - set(algorithm.options), key=str)
+    if unknown:
+        raise SpecError(
+            f"algorithm {algorithm.name!r} takes no option(s) {unknown}; "
+            f"accepted options: {list(algorithm.options)}"
+        )
+
+
 def _execute(
     algo: Algorithm,
     spec: ProblemSpec,
@@ -208,40 +219,15 @@ def _execute(
     probe: Callable[[RoundTrace], None] | None = None,
 ) -> tuple[RunResult, Measurement]:
     """Run ``algo`` on ``eng`` — the one execution path solve()/simulate()
-    share.
-
-    For a ``"global"``-kind algorithm the engine and probe are unused (no
-    message rounds exist to observe): the returned outputs are the
-    solution object and the measurement carries only the accounted
-    rounds.
-    """
-    if algo.kind != "message":
-        (solution, rounds), wall = timed(algo.run_global, net, spec, options, seed)
-        measurement = Measurement(
-            rounds=rounds,
-            wall_seconds=wall,
-            messages_delivered=0,
-            messages_dropped=0,
-            peak_live_nodes=0,
-        )
-        return RunResult(outputs=solution, rounds=rounds), measurement
+    share."""
     program = algo.program(net, spec, options)
     internal = EngineProbe()
     observer: Callable[[RoundTrace], None] = internal
     if probe is not None:
-        extern = probe
 
         def observer(trace: RoundTrace) -> None:
             internal(trace)
-            extern(trace)
-
-        def _note_engine_path(path: str) -> None:
-            internal.note_engine_path(path)
-            note = getattr(extern, "note_engine_path", None)
-            if note is not None:
-                note(path)
-
-        observer.note_engine_path = _note_engine_path
+            probe(trace)
 
     result, wall = timed(
         eng.run, net, program, seed=seed, max_rounds=max_rounds, probe=observer
@@ -264,10 +250,10 @@ def simulate(
 ) -> tuple[RunResult, Measurement]:
     """Run an algorithm on an engine; return raw (result, measurement).
 
-    No finalization, no checking — the low-level entry point.  See
-    :func:`_execute` for ``"global"``-kind semantics.
+    No finalization, no checking — the low-level entry point.
     """
     spec, algo = _resolve_pair(problem, algorithm)
+    _check_options(algo, options)
     eng = resolve_engine(engine)
     net = _resolve_network(algo, spec, network, graph, n, seed)
     return _execute(
@@ -293,21 +279,20 @@ def solve(
 
     When neither ``network`` nor ``graph`` is given, the algorithm's
     default family network on ~``n`` nodes (seeded) is used.  Extra
-    keyword ``options`` are forwarded to the algorithm (e.g.
-    ``input_edges=...`` for ``"matching:proposal"``).  ``check=False``
-    skips validation (``report.valid`` is then ``None``).
+    keyword ``options`` are forwarded to the algorithm, which must
+    declare each of them in :attr:`Algorithm.options` (e.g.
+    ``input_edges=...`` for ``"matching:proposal"``); any other key is a
+    :class:`SpecError`.  ``check=False`` skips validation
+    (``report.valid`` is then ``None``).
     """
     spec, algo = _resolve_pair(problem, algorithm)
+    _check_options(algo, options)
     eng = resolve_engine(engine)
     net = _resolve_network(algo, spec, network, graph, n, seed)
     result, measurement = _execute(
         algo, spec, net, eng, seed=seed, max_rounds=max_rounds, options=options
     )
-    solution = (
-        algo.finalize(net, spec, options, result.outputs)
-        if algo.kind == "message"
-        else result.outputs
-    )
+    solution = algo.finalize(net, spec, options, result.outputs)
     check_result = _family_check(spec, net.graph, solution) if check else None
     return SolveReport(
         problem=spec.spec,

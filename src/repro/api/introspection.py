@@ -7,7 +7,7 @@ error messages / ``python -m repro.experiments list`` are rebuilt on top
 of them — one description of "what exists", rendered everywhere:
 
 * :func:`list_algorithms` — every registered algorithm with its
-  families, kind and description;
+  families and description;
 * :func:`list_engines` — every execution backend (and which one is the
   default);
 * :func:`describe` — everything the façade knows about one problem
@@ -29,14 +29,13 @@ from repro.problems.registry import family_parameters
 def list_algorithms(family: str | None = None) -> list[dict]:
     """Registered algorithms as records, optionally filtered by family.
 
-    Each record: ``{"name", "families", "kind", "description"}``, sorted
-    by name (the order :func:`available_algorithms` guarantees).
+    Each record: ``{"name", "families", "description"}``, sorted by
+    name (the order :func:`available_algorithms` guarantees).
     """
     return [
         {
             "name": name,
             "families": list(ALGORITHMS[name].families),
-            "kind": ALGORITHMS[name].kind,
             "description": ALGORITHMS[name].description,
         }
         for name in available_algorithms(family)

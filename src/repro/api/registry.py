@@ -3,12 +3,11 @@
 An *algorithm* is a registered, problem-aware adapter around one of the
 library's distributed algorithms.  Registration gives it a stable name
 (``"matching:proposal"``, ``"mis:aapr23"``), declares which problem
-families it can solve, and binds the three pieces the façade needs:
+families it can solve and which solve options it reads, and binds the
+three pieces the façade needs:
 
 * how to compile itself into a :class:`MessagePassingProgram` for an
-  engine (``kind = "message"``), or how to run directly from global
-  knowledge (``kind = "global"`` — the Supported LOCAL constructions
-  whose round counts are *accounted*, not simulated);
+  engine (:meth:`Algorithm.program`);
 * how to turn raw per-node engine outputs into a solution object
   (:meth:`Algorithm.finalize`);
 * what network to run on when the caller supplies none
@@ -21,7 +20,7 @@ module must therefore never import them (the façade package's
 
 from __future__ import annotations
 
-from repro.api.errors import EngineMismatchError, UnknownAlgorithmError
+from repro.api.errors import UnknownAlgorithmError
 from repro.api.networks import family_network
 from repro.api.types import MessagePassingProgram, ProblemSpec
 from repro.local.network import Network
@@ -34,42 +33,29 @@ ALGORITHMS: dict[str, "Algorithm"] = {}
 class Algorithm:
     """Base class for registered algorithms.
 
-    Subclasses set ``name``, ``families`` and ``kind``, then override
-    :meth:`program`/:meth:`finalize` (message-passing algorithms) or
-    :meth:`run_global` (global-knowledge constructions).
+    Subclasses set ``name``, ``families`` and ``options``, then override
+    :meth:`program` and :meth:`finalize`.
     """
 
     #: Registry name, conventionally ``"<family>:<variant>"``.
     name: str = ""
     #: Problem families (registry names) this algorithm can solve.
     families: tuple[str, ...] = ()
-    #: ``"message"`` (engine-executed) or ``"global"`` (direct).
-    kind: str = "message"
+    #: The solve options :meth:`program` reads; the façade rejects others.
+    options: tuple[str, ...] = ()
     description: str = ""
 
     def program(
         self, network: Network, spec: ProblemSpec, options: dict
     ) -> MessagePassingProgram:
-        """Compile into an engine-executable program (``kind="message"``)."""
-        raise EngineMismatchError(
-            f"algorithm {self.name!r} is {self.kind!r}-kind and does not "
-            f"compile to a message-passing program"
-        )
+        """Compile into an engine-executable program."""
+        raise NotImplementedError
 
     def finalize(
         self, network: Network, spec: ProblemSpec, options: dict, outputs: dict
     ) -> object:
         """Convert raw per-node engine outputs into the solution object."""
         return outputs
-
-    def run_global(
-        self, network: Network, spec: ProblemSpec, options: dict, seed: int
-    ) -> tuple[object, int]:
-        """Run directly, returning (solution, accounted rounds)."""
-        raise EngineMismatchError(
-            f"algorithm {self.name!r} is {self.kind!r}-kind and has no "
-            f"global-knowledge execution"
-        )
 
     def default_network(
         self, spec: ProblemSpec, *, n: int | None, seed: int
@@ -91,10 +77,6 @@ def register_algorithm(algorithm: Algorithm) -> Algorithm:
     if not algorithm.families:
         raise InvalidParameterError(
             f"algorithm {algorithm.name!r} declares no compatible families"
-        )
-    if algorithm.kind not in ("message", "global"):
-        raise InvalidParameterError(
-            f"algorithm {algorithm.name!r} has unknown kind {algorithm.kind!r}"
         )
     existing = ALGORITHMS.get(algorithm.name)
     if existing is not None and type(existing) is not type(algorithm):

@@ -7,8 +7,8 @@ and the façade functions:
   normalized parameters), resolvable to a formalism
   :class:`~repro.formalism.problems.Problem` via the family registry;
 * :class:`MessagePassingProgram` — a fully-bound message-passing
-  computation (node factory, per-node knowledge, optional randomness),
-  the unit an :class:`~repro.api.engines.Engine` executes;
+  computation (node factory, kernel name, declared knowledge, optional
+  randomness), the unit an :class:`~repro.api.engines.Engine` executes;
 * :class:`SolveReport` — the unified result of a façade
   :func:`~repro.api.solve` call: rounds, outputs, check result, message
   counters and timing, with a canonical JSON rendering.
@@ -95,42 +95,30 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True)
-class VectorizedSpec:
-    """An algorithm's opt-in to the vectorized (struct-of-arrays) engine.
-
-    ``kernel`` names a batch implementation in the vectorized engine's
-    kernel registry (:data:`repro.local.vectorized.KERNELS`); ``data``
-    carries the per-run knowledge that implementation needs — the same
-    information ``extra`` closes over, but in bulk form (a coloring dict,
-    an input-edge set) instead of a per-node callable.  The spec itself
-    is plain data: building one never imports numpy, so algorithms can
-    always attach it and engines that cannot use it simply ignore it.
-    """
-
-    kernel: str
-    data: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class MessagePassingProgram:
     """A bound message-passing computation, ready for any engine.
 
-    ``factory`` builds one :class:`NodeAlgorithm` per node; ``extra``
-    injects per-node auxiliary knowledge; ``rng_streams`` (for randomized
-    algorithms) maps ``(network, seed)`` to a per-node random source in a
-    way that depends only on the network and seed — never on the engine —
-    so every backend draws identical randomness.  ``vectorized``
-    (optional) declares a batch implementation for the vectorized engine;
-    engines without batch support ignore it, and the vectorized engine
-    falls back to per-node object semantics when it is absent.
+    ``factory`` builds one :class:`NodeAlgorithm` per node, and
+    ``kernel`` names the program's batch form in
+    :data:`repro.local.vectorized.KERNELS` (``None``: object engine
+    only).  The initial knowledge is declared once, under keys both
+    forms read: ``per_node`` maps each key to a node → value map (what
+    a node is told about itself) and ``shared`` maps each key to a value
+    every node knows.  The object engine hands node ``v``
+    ``{**shared, **{key: values[v] for key, values in per_node.items()}}``
+    as ``ctx.extra``; kernels read the maps whole.  ``rng_streams`` (for
+    randomized algorithms) maps ``(network, seed)`` to a per-node random
+    source in a way that depends only on the network and seed — never on
+    the engine — so every backend draws identical randomness.
     """
 
     factory: Callable[[NodeContext], NodeAlgorithm]
-    extra: Callable[[object], dict] | None = None
+    kernel: str | None = None
+    per_node: dict[str, dict] = field(default_factory=dict)
+    shared: dict[str, object] = field(default_factory=dict)
     rng_streams: (
         Callable[[Network, int], Callable[[object], random.Random]] | None
     ) = None
-    vectorized: VectorizedSpec | None = None
 
 
 @dataclass(frozen=True)

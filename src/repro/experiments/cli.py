@@ -40,11 +40,11 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     # The registries, via the api introspection helpers — the same data
     # the solve service's /v1/status endpoint reports.
     algorithm_rows = [
-        (entry["name"], entry["kind"], ", ".join(entry["families"]))
+        (entry["name"], ", ".join(entry["families"]))
         for entry in list_algorithms()
     ]
     print()
-    print(format_table(["algorithm", "kind", "families"], algorithm_rows))
+    print(format_table(["algorithm", "families"], algorithm_rows))
     engine_rows = [
         (entry["name"], entry["type"], "yes" if entry["default"] else "")
         for entry in list_engines()

@@ -38,11 +38,6 @@ class Measurement:
     messages_delivered: int
     messages_dropped: int
     peak_live_nodes: int
-    #: Which execution path ran: ``"kernel"`` (vectorized array kernel),
-    #: ``"fallback"`` (per-node loop), or ``""`` when the engine does not
-    #: report one.  Telemetry only — excluded from :meth:`as_record` so
-    #: canonical records stay byte-identical across engines.
-    engine_path: str = ""
 
     def as_record(self) -> dict:
         """A JSON-ready dict (wall clock excluded: it is not reproducible)."""
@@ -59,14 +54,9 @@ class EngineProbe:
     """An ``on_round`` observer that accumulates :class:`RoundTrace` data."""
 
     traces: list[RoundTrace] = field(default_factory=list)
-    engine_path: str = ""
 
     def __call__(self, trace: RoundTrace) -> None:
         self.traces.append(trace)
-
-    def note_engine_path(self, path: str) -> None:
-        """Record which execution path the engine took (telemetry only)."""
-        self.engine_path = path
 
     def summarize(self, wall_seconds: float = 0.0) -> Measurement:
         return Measurement(
@@ -75,7 +65,6 @@ class EngineProbe:
             messages_delivered=sum(t.messages_delivered for t in self.traces),
             messages_dropped=sum(t.messages_dropped for t in self.traces),
             peak_live_nodes=max((t.live_nodes for t in self.traces), default=0),
-            engine_path=self.engine_path,
         )
 
 

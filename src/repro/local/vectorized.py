@@ -19,17 +19,15 @@ entirely:
   rest through ``reverse``, and :meth:`receive_all` scatters them back
   into node state.
 
-Algorithms opt in by attaching a :class:`~repro.api.types.VectorizedSpec`
-to their program, naming a kernel registered in :data:`KERNELS`.  Programs
-without a spec fall back to :func:`run_synchronous` — per-node object
-semantics, trivially byte-identical.  A spec naming an *unregistered*
-kernel raises :class:`SimulationError` instead: the algorithm explicitly
-claimed a kernel, so a typo must fail loudly rather than silently lose
-the speedup to the per-node path.  Which path ran is reported to the
-probe (``EngineProbe.engine_path``: ``"kernel"`` or ``"fallback"``) —
-telemetry only, never part of canonical records.  Ported kernels must
-reproduce the object engine bit for bit: same outputs (Python scalars,
-not numpy ones), same round count, same delivered/dropped counters, same
+A program names its kernel (``MessagePassingProgram.kernel``, a key of
+:data:`KERNELS`) and declares its knowledge once: ``per_node`` maps each
+key to a node → value map, ``shared`` each key to a value.  The kernel
+reads those maps whole, under the same keys the per-node program reads
+from ``ctx.extra``.  This engine runs kernels only: a program without a
+kernel, or naming an unregistered one, raises :class:`SimulationError`
+and belongs on the object engine.  Kernels must reproduce the object
+engine bit for bit: same outputs (Python scalars, not numpy ones), same
+round count, same delivered/dropped counters, same
 :class:`SimulationError` texts.  ``tests/api/test_engine_parity.py`` and
 the ``engines`` differential oracle enforce this.
 
@@ -50,12 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.local.network import Network
-from repro.local.simulator import (
-    NodeContext,
-    RoundTrace,
-    RunResult,
-    run_synchronous,
-)
+from repro.local.simulator import RoundTrace, RunResult
 from repro.utils import SimulationError
 
 
@@ -134,23 +127,24 @@ class VectorizedAlgorithm:
     :meth:`send_all` / :meth:`receive_all` until every ``halted`` flag is
     set — but each hook is called once per round, not once per node.
 
-    ``data`` is the :class:`~repro.api.types.VectorizedSpec` payload: the
-    bulk form of what ``extra`` would hand each node.  ``rng_for`` is the
-    per-node random-source mapping for randomized kernels (``None``
-    otherwise); kernels that draw randomness must draw exactly the bits
-    the per-node algorithm would, in node order, to stay byte-identical.
+    ``per_node`` (key → node → value map) and ``shared`` (key → value)
+    are the program's knowledge declaration, under the keys its per-node
+    form reads from ``ctx.extra``.  ``rng_for`` is the per-node
+    random-source mapping for randomized kernels (``None`` otherwise);
+    kernels that draw randomness must draw exactly the bits the per-node
+    algorithm would, in node order, to stay byte-identical.
     """
 
     def __init__(
         self,
         vnet: VectorNetwork,
-        network: Network,
-        data: dict,
+        per_node: dict,
+        shared: dict,
         rng_for: Callable[[object], object] | None = None,
     ) -> None:
         self.vnet = vnet
-        self.network = network
-        self.data = data
+        self.per_node = per_node
+        self.shared = shared
         self.rng_for = rng_for
         self.halted = np.zeros(vnet.n, dtype=bool)
 
@@ -183,7 +177,7 @@ class VectorizedAlgorithm:
         raise NotImplementedError
 
 
-#: Registry of batch kernels, keyed by ``VectorizedSpec.kernel``.
+#: Registry of batch kernels, keyed by ``MessagePassingProgram.kernel``.
 KERNELS: dict[str, type[VectorizedAlgorithm]] = {}
 
 
@@ -191,58 +185,36 @@ def register_kernel(name: str, kernel: type[VectorizedAlgorithm]) -> None:
     KERNELS[name] = kernel
 
 
-def _note_engine_path(
-    on_round: Callable[[RoundTrace], None] | None, path: str
-) -> None:
-    """Tell the probe which execution path ran (telemetry, not records)."""
-    note = getattr(on_round, "note_engine_path", None)
-    if note is not None:
-        note(path)
-
-
 def run_vectorized(
     network: Network,
-    factory: Callable[[NodeContext], object],
+    kernel: str | None,
+    per_node: dict | None = None,
+    shared: dict | None = None,
     max_rounds: int = 10_000,
-    extra: Callable[[object], dict] | None = None,
     rng_for: Callable[[object], object] | None = None,
     on_round: Callable[[RoundTrace], None] | None = None,
-    vectorized=None,
 ) -> RunResult:
-    """Drop-in replacement for :func:`run_synchronous` over numpy arrays.
+    """:func:`~repro.local.simulator.run_synchronous`'s contract over
+    numpy arrays: run the registered ``kernel`` on the declared
+    ``per_node``/``shared`` knowledge, one whole-array step per phase.
 
-    ``vectorized`` is the program's :class:`VectorizedSpec` (or ``None``);
-    when it names a registered kernel the whole run is array operations.
-    A program with *no* spec delegates to :func:`run_synchronous`
-    unchanged — the fallback path for unported algorithms.  A spec naming
-    an unknown kernel is a :class:`SimulationError`: the program opted in
-    to a kernel, so a registry miss is a bug, not a fallback.
+    A ``kernel`` that is ``None`` or not in :data:`KERNELS` is a
+    :class:`SimulationError`: there is no per-node path here, and such a
+    program runs on the object engine.
     """
-    if vectorized is None:
-        _note_engine_path(on_round, "fallback")
-        return run_synchronous(
-            network,
-            factory,
-            max_rounds=max_rounds,
-            extra=extra,
-            rng_for=rng_for,
-            on_round=on_round,
-        )
-    kernel_cls = KERNELS.get(vectorized.kernel)
+    kernel_cls = KERNELS.get(kernel)
     if kernel_cls is None:
         raise SimulationError(
-            f"vectorized engine: unknown kernel {vectorized.kernel!r} "
-            f"(registered: {sorted(KERNELS)}); refusing the silent "
-            f"per-node fallback"
+            f"vectorized engine: unknown kernel {kernel!r} "
+            f"(registered: {sorted(KERNELS)}); a program without a "
+            f"registered kernel runs on engine='object'"
         )
-    _note_engine_path(on_round, "kernel")
-
     vnet = VectorNetwork.of(network)
-    kernel = kernel_cls(vnet, network, vectorized.data, rng_for=rng_for)
-    kernel.init_all()
+    state = kernel_cls(vnet, per_node or {}, shared or {}, rng_for=rng_for)
+    state.init_all()
 
     rounds = 0
-    live = int(vnet.n - np.count_nonzero(kernel.halted))
+    live = int(vnet.n - np.count_nonzero(state.halted))
     while live:
         rounds += 1
         if rounds > max_rounds:
@@ -250,11 +222,11 @@ def run_vectorized(
                 f"algorithm did not halt within {max_rounds} rounds"
             )
         live_nodes = live
-        edges, payloads = kernel.send_all(rounds)
+        edges, payloads = state.send_all(rounds)
         # The drop rule, vectorized: messages addressed to a node that
         # was already halted when the round began are dropped (kernels
         # never halt during send_all, so the mask is exact).
-        receiver_halted = kernel.halted[vnet.dest[edges]]
+        receiver_halted = state.halted[vnet.dest[edges]]
         dropped = int(np.count_nonzero(receiver_halted))
         delivered = int(edges.shape[0]) - dropped
         if dropped:
@@ -262,8 +234,8 @@ def run_vectorized(
             edges = edges[keep]
             if payloads is not None:
                 payloads = payloads[keep]
-        kernel.receive_all(rounds, vnet.reverse[edges], payloads)
-        live = int(vnet.n - np.count_nonzero(kernel.halted))
+        state.receive_all(rounds, vnet.reverse[edges], payloads)
+        live = int(vnet.n - np.count_nonzero(state.halted))
         if on_round is not None:
             on_round(
                 RoundTrace(
@@ -274,7 +246,7 @@ def run_vectorized(
                 )
             )
 
-    outputs = kernel.outputs_all()
+    outputs = state.outputs_all()
     return RunResult(outputs=dict(zip(vnet.nodes, outputs)), rounds=rounds)
 
 
@@ -284,48 +256,47 @@ _NO_PROPOSAL = np.iinfo(np.int64).max
 class ProposalMatchingKernel(VectorizedAlgorithm):
     """Batch form of the proposal matching (``matching:proposal``).
 
-    ``data``: ``delta_prime`` (the phase budget Δ′, already computed from
-    the input edges by the algorithm) and ``input_edges`` — ``None`` when
-    G′ = G (every port is an input port, the common fast path) or a
-    frozenset of frozenset edges restricting proposals to G′.
+    Knowledge: per node its ``color`` (``"white"``/``"black"``) and,
+    only when G′ ⊂ G, its sorted ``input_ports`` (absent: every port is an
+    input port); shared, the phase budget ``delta_prime`` (Δ′).
 
     State: ``matched`` holds the matched port (−1 while unmatched),
     ``next_index`` the next input-port index each white will try, and
     ``pending`` the port a black must answer with "accept" (−1 when none).
     Input ports are their own CSR: ``ip_slots[ip_indptr[i] + j]`` is the
     half-edge of white ``i``'s ``j``-th input port, in ascending port
-    order — exactly ``extra["input_ports"]`` of the per-node algorithm.
+    order — exactly the per-node algorithm's ``input_ports``.
     """
 
-    def __init__(self, vnet, network, data, rng_for=None):
-        super().__init__(vnet, network, data, rng_for=rng_for)
-        attrs = network.graph.nodes
+    def __init__(self, vnet, per_node, shared, rng_for=None):
+        super().__init__(vnet, per_node, shared, rng_for=rng_for)
+        color = per_node["color"]
         self.white = np.fromiter(
-            (attrs[node]["color"] == "white" for node in vnet.nodes),
+            (color[node] == "white" for node in vnet.nodes),
             dtype=bool,
             count=vnet.n,
         )
-        input_edges = data.get("input_edges")
-        half_edges = int(vnet.dest.shape[0])
-        if input_edges is None:
-            is_input = np.ones(half_edges, dtype=bool)
+        input_ports = per_node.get("input_ports")
+        if input_ports is None:
+            is_input = np.ones(vnet.dest.shape[0], dtype=bool)
         else:
-            nodes = vnet.nodes
-            is_input = np.fromiter(
+            slots = np.fromiter(
                 (
-                    frozenset((nodes[i], nodes[j])) in input_edges
-                    for i, j in zip(vnet.owner.tolist(), vnet.dest.tolist())
+                    first + port - 1
+                    for first, node in zip(vnet.indptr.tolist(), vnet.nodes)
+                    for port in input_ports[node]
                 ),
-                dtype=bool,
-                count=half_edges,
+                dtype=np.int64,
             )
+            is_input = np.zeros(vnet.dest.shape[0], dtype=bool)
+            is_input[slots] = True
         self.ip_slots = np.flatnonzero(is_input)
         self.ip_counts = np.bincount(
             vnet.owner[is_input], minlength=vnet.n
         ).astype(np.int64)
         self.ip_indptr = np.zeros(vnet.n + 1, dtype=np.int64)
         np.cumsum(self.ip_counts, out=self.ip_indptr[1:])
-        self.total_phases = int(data["delta_prime"])
+        self.total_phases = int(shared["delta_prime"])
         self.matched = np.full(vnet.n, -1, dtype=np.int64)
         self.next_index = np.zeros(vnet.n, dtype=np.int64)
         self.pending = np.full(vnet.n, -1, dtype=np.int64)
@@ -407,17 +378,17 @@ class ClassSweepKernel(VectorizedAlgorithm):
     comes, everyone else listens, and all nodes halt *together* when the
     budget is spent (so no message is ever dropped mid-sweep).  Subclasses
     parameterize the finalize rule: :attr:`classes_key` names the
-    node → class mapping in ``data``, :meth:`round_budget` declares the
+    node → class map in ``per_node``, :meth:`round_budget` declares the
     total round count, and :meth:`sweep_send` / :meth:`sweep_receive`
     implement the per-round action.  The base handles the class array,
     the zero-budget init halt and the collective final halt.
     """
 
-    classes_key = "coloring"
+    classes_key = "color"
 
-    def __init__(self, vnet, network, data, rng_for=None):
-        super().__init__(vnet, network, data, rng_for=rng_for)
-        mapping = data[self.classes_key]
+    def __init__(self, vnet, per_node, shared, rng_for=None):
+        super().__init__(vnet, per_node, shared, rng_for=rng_for)
+        mapping = per_node[self.classes_key]
         self.cls = np.fromiter(
             (mapping[node] for node in vnet.nodes),
             dtype=np.int64,
@@ -429,7 +400,7 @@ class ClassSweepKernel(VectorizedAlgorithm):
         """Total engine rounds of the sweep (0 halts everyone at init).
 
         Called from the base ``__init__`` before subclass state exists —
-        compute the budget from ``self.data`` alone.
+        compute the budget from ``self.shared`` alone.
         """
         raise NotImplementedError
 
@@ -457,19 +428,19 @@ class ClassSweepKernel(VectorizedAlgorithm):
 class ColorClassMISKernel(ClassSweepKernel):
     """Batch form of the [AAPR23] color-class sweep (``mis:aapr23``).
 
-    ``data``: the shared ``coloring`` (node → color class) and
-    ``num_colors``.  Color class ``c`` joins in engine round ``c + 1``
-    unless blocked by an earlier-class neighbor; everyone halts together
-    after ``num_colors`` rounds.
+    Knowledge: per node its ``color`` class; shared, ``num_colors``.
+    Color class ``c`` joins in engine round ``c + 1`` unless blocked by
+    an earlier-class neighbor; everyone halts together after
+    ``num_colors`` rounds.
     """
 
-    def __init__(self, vnet, network, data, rng_for=None):
-        super().__init__(vnet, network, data, rng_for=rng_for)
+    def __init__(self, vnet, per_node, shared, rng_for=None):
+        super().__init__(vnet, per_node, shared, rng_for=rng_for)
         self.in_mis = np.zeros(vnet.n, dtype=bool)
         self.blocked = np.zeros(vnet.n, dtype=bool)
 
     def round_budget(self):
-        return self.data["num_colors"]
+        return self.shared["num_colors"]
 
     def sweep_send(self, rnd):
         joiners = (self.cls == rnd - 1) & ~self.blocked & ~self.halted
@@ -495,19 +466,20 @@ class ColoringSweepKernel(ClassSweepKernel):
     with the mex over its bitmap row — ``argmin`` of a boolean row is the
     first unseen color, and a width of Δ + 1 guarantees one exists.
 
-    ``data``: ``initial_coloring`` (node → class) and ``num_classes``.
+    Knowledge: per node its ``initial_color`` class; shared,
+    ``num_classes``.
     """
 
-    classes_key = "initial_coloring"
+    classes_key = "initial_color"
 
-    def __init__(self, vnet, network, data, rng_for=None):
-        super().__init__(vnet, network, data, rng_for=rng_for)
+    def __init__(self, vnet, per_node, shared, rng_for=None):
+        super().__init__(vnet, per_node, shared, rng_for=rng_for)
         width = int(vnet.degrees.max(initial=0)) + 1
         self.seen = np.zeros((vnet.n, width), dtype=bool)
         self.final = np.full(vnet.n, -1, dtype=np.int64)
 
     def round_budget(self):
-        return self.data["num_classes"]
+        return self.shared["num_classes"]
 
     def init_all(self):
         super().init_all()
@@ -544,15 +516,15 @@ class RulingSweepKernel(ClassSweepKernel):
     nodes select themselves in the phase's first round and flood a
     ``("ruled", β)`` token; receivers become ruled and forward the token
     with a decremented hop budget, so the wave covers the β-ball before
-    the next class decides.  ``data``: ``class_of``, ``num_classes``,
-    ``beta``.
+    the next class decides.  Knowledge: per node its ``class_index``;
+    shared, ``num_classes`` and ``beta``.
     """
 
-    classes_key = "class_of"
+    classes_key = "class_index"
 
-    def __init__(self, vnet, network, data, rng_for=None):
-        super().__init__(vnet, network, data, rng_for=rng_for)
-        self.beta = int(data["beta"])
+    def __init__(self, vnet, per_node, shared, rng_for=None):
+        super().__init__(vnet, per_node, shared, rng_for=rng_for)
+        self.beta = int(shared["beta"])
         self.selected = np.zeros(vnet.n, dtype=bool)
         self.ruled = np.zeros(vnet.n, dtype=bool)
         self.pending = np.zeros(vnet.n, dtype=np.int64)
@@ -560,7 +532,7 @@ class RulingSweepKernel(ClassSweepKernel):
         self._hops = np.empty(vnet.n, dtype=np.int64)
 
     def round_budget(self):
-        return self.data["num_classes"] * int(self.data["beta"])
+        return self.shared["num_classes"] * int(self.shared["beta"])
 
     def sweep_send(self, rnd):
         vnet = self.vnet
@@ -598,16 +570,16 @@ class ArbdefectiveSweepKernel(ClassSweepKernel):
     centralized ``min`` key), marks its half-edges towards same-bucket
     finalized neighbors as outgoing, and announces ``("bucket", b)``.
     Receivers scatter the announcement into per-bucket load counters and
-    the per-port bucket table.  ``data``: ``rank_of``, ``num_classes``,
-    ``offset``, ``num_buckets``.
+    the per-port bucket table.  Knowledge: per node its class ``rank``;
+    shared, ``num_classes``, ``offset`` and ``num_buckets``.
     """
 
-    classes_key = "rank_of"
+    classes_key = "rank"
 
-    def __init__(self, vnet, network, data, rng_for=None):
-        super().__init__(vnet, network, data, rng_for=rng_for)
-        self.offset = int(data["offset"])
-        self.num_buckets = int(data["num_buckets"])
+    def __init__(self, vnet, per_node, shared, rng_for=None):
+        super().__init__(vnet, per_node, shared, rng_for=rng_for)
+        self.offset = int(shared["offset"])
+        self.num_buckets = int(shared["num_buckets"])
         self.loads = np.zeros((vnet.n, self.num_buckets), dtype=np.int64)
         self.bucket = np.full(vnet.n, -1, dtype=np.int64)
         # slot_bucket[k]: announced bucket of the neighbor behind
@@ -616,7 +588,7 @@ class ArbdefectiveSweepKernel(ClassSweepKernel):
         self.out_edge = np.zeros(vnet.dest.shape[0], dtype=bool)
 
     def round_budget(self):
-        return int(self.data["offset"]) + self.data["num_classes"]
+        return int(self.shared["offset"]) + self.shared["num_classes"]
 
     def sweep_send(self, rnd):
         vnet = self.vnet
@@ -662,15 +634,15 @@ class GlobalOrientationKernel(VectorizedAlgorithm):
     The orientation is global knowledge computed by the algorithm's
     ``program()``; every node halts at init with its outgoing ports, so
     the engine loop never runs — the kernel exercises the 0-round /
-    empty-graph path of the contract.  ``data``: ``out_ports``
-    (node → sorted port list).
+    empty-graph path of the contract.  Knowledge: per node its sorted
+    ``out_ports``.
     """
 
     def init_all(self):
         self.halted[:] = True
 
     def outputs_all(self):
-        out_ports = self.data["out_ports"]
+        out_ports = self.per_node["out_ports"]
         return [out_ports[node] for node in self.vnet.nodes]
 
 
@@ -689,8 +661,8 @@ class LubyMISKernel(VectorizedAlgorithm):
     the object engine) while everything else stays whole-array.
     """
 
-    def __init__(self, vnet, network, data, rng_for=None):
-        super().__init__(vnet, network, data, rng_for=rng_for)
+    def __init__(self, vnet, per_node, shared, rng_for=None):
+        super().__init__(vnet, per_node, shared, rng_for=rng_for)
         self.rngs = [rng_for(node) for node in vnet.nodes]
         self.values = np.zeros(vnet.n, dtype=np.float64)
         self.joining = np.zeros(vnet.n, dtype=bool)

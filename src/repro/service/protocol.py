@@ -34,7 +34,7 @@ from repro.api import (
     ProblemSpec,
     resolve_engine,
 )
-from repro.api.facade import _resolve_pair
+from repro.api.facade import _check_options, _resolve_pair
 from repro.formalism.normalize import (
     NORMAL_FORM_SCHEMA,
     normal_form,
@@ -154,6 +154,9 @@ def _canonicalize_solve(request: dict) -> dict:
     for key in options:
         if not isinstance(key, str):
             raise ProtocolError("option keys must be strings", "bad-field")
+    # An option the algorithm does not declare (a typo, or a façade
+    # argument such as "seed") is refused here, before it reaches a worker.
+    _check_options(algo, options)
     return {
         "schema": REQUEST_SCHEMA,
         "kind": "solve",

@@ -248,10 +248,8 @@ def build_sat_case(params: dict):
 
 #: Every registered algorithm, exercised through a compatible spec.  The
 #: fuzzer varies n / seed (and thereby the seeded default network).
-#: Every registered algorithm now names a numpy kernel, so each row
-#: differentially tests a kernel against the per-node engine (the
-#: fallback path keeps its own coverage in tests/local/test_vectorized.py
-#: via spec-less programs).
+#: Every registered algorithm names a numpy kernel, so each row
+#: differentially tests a kernel against the per-node engine.
 ENGINE_CASE_MATRIX: tuple[tuple[str, str], ...] = (
     ("matching:delta=3,x=0,y=1", "matching:proposal"),
     ("maximal-matching:delta=4", "matching:proposal"),

@@ -198,8 +198,9 @@ class EngineParityOracle(Oracle):
     """Byte parity of every registered engine against ``object``.
 
     Every registered algorithm names a numpy kernel, so each matrix row
-    differentially tests a kernel against the per-node engine (a spec
-    naming an unregistered kernel raises rather than falling back).
+    differentially tests a kernel against the per-node engine (the
+    vectorized engine has no per-node path: a program without a
+    registered kernel raises).
     """
 
     name = "engines"

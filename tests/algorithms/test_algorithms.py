@@ -1,19 +1,21 @@
-"""Tests for the distributed upper-bound algorithms."""
+"""Tests for the distributed upper-bound algorithms.
+
+The registered algorithms run through :func:`repro.api.solve` with
+``check=False``, so each test states its own validity assertion; the
+sequential references (class sweeps, greedy matching, global sinkless
+orientation) are called directly.
+"""
 
 import networkx as nx
 import pytest
 
+from repro import api
 from repro.algorithms import (
-    bipartite_maximal_matching,
     class_sweep_arbdefective_coloring,
     class_sweep_coloring,
     global_sinkless_orientation,
     greedy_maximal_matching,
-    luby_mis,
-    mis_from_ruling_sweep,
     ruling_set_by_class_sweep,
-    supported_mis_by_coloring,
-    supported_sinkless_orientation_rounds,
     verify_class_sweep_construction,
 )
 from repro.checkers import (
@@ -35,8 +37,22 @@ from repro.graphs import (
 from repro.utils import GraphConstructionError
 
 
-def _full_input(graph) -> frozenset:
-    return frozenset(frozenset(edge) for edge in graph.edges)
+def _matching(cover, **options):
+    report = api.solve(
+        "maximal-matching:Δ=3",
+        algorithm="matching:proposal",
+        graph=cover,
+        check=False,
+        **options,
+    )
+    return report.outputs, report.rounds
+
+
+def _mis(graph, algorithm, seed=0):
+    report = api.solve(
+        "mis:Δ=3", algorithm=algorithm, graph=graph, seed=seed, check=False
+    )
+    return report.outputs, report.rounds
 
 
 class TestProposalMatching:
@@ -44,7 +60,7 @@ class TestProposalMatching:
     def test_valid_on_double_covers(self, name):
         graph, _d, _g = cage(name)
         cover = bipartite_double_cover(graph)
-        matching, rounds = bipartite_maximal_matching(cover, _full_input(cover))
+        matching, rounds = _matching(cover)
         assert check_maximal_matching(cover, matching)
         assert rounds >= 1
 
@@ -52,12 +68,14 @@ class TestProposalMatching:
         """The O(Δ′) shape: rounds are 2Δ′ by construction."""
         graph, _d, _g = cage("heawood")
         cover = bipartite_double_cover(graph)
-        _m, rounds_full = bipartite_maximal_matching(cover, _full_input(cover))
-        # Input = a perfect matching of the cover (Δ′ = 1).
+        _m, rounds_full = _matching(cover)
+        # Input = a perfect matching of the cover (Δ′ = 1): both lifts
+        # (u,0)–(v,1) and (v,0)–(u,1) of a perfect matching uv of G.
+        perfect = nx.max_weight_matching(graph, maxcardinality=True)
         thin = frozenset(
-            frozenset(((node, 0), (node, 1))) for node in graph.nodes
+            frozenset(((a, 0), (b, 1))) for u, v in perfect for a, b in ((u, v), (v, u))
         )
-        _m2, rounds_thin = bipartite_maximal_matching(cover, thin)
+        _m2, rounds_thin = _matching(cover, input_edges=thin)
         assert rounds_full == 2 * 3
         assert rounds_thin == 2 * 1
 
@@ -65,7 +83,7 @@ class TestProposalMatching:
         cover = mark_bipartition(cycle(8))
         edges = sorted(cover.edges, key=str)[:5]
         input_edges = frozenset(frozenset(edge) for edge in edges)
-        matching, _rounds = bipartite_maximal_matching(cover, input_edges)
+        matching, _rounds = _matching(cover, input_edges=input_edges)
         input_graph = nx.Graph(list(tuple(edge) for edge in input_edges))
         assert check_maximal_matching(input_graph, matching)
 
@@ -79,7 +97,7 @@ class TestMIS:
     @pytest.mark.parametrize("name", ["petersen", "heawood", "desargues"])
     def test_supported_mis_valid(self, name):
         graph, _d, _g = cage(name)
-        mis, rounds = supported_mis_by_coloring(graph)
+        mis, rounds = _mis(graph, "mis:aapr23")
         assert check_mis(graph, mis)
         colors_used = len(set(greedy_coloring(graph).values()))
         assert rounds == colors_used
@@ -87,13 +105,13 @@ class TestMIS:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_luby_valid(self, seed):
         graph, _d, _g = cage("petersen")
-        mis, rounds = luby_mis(graph, seed=seed)
+        mis, rounds = _mis(graph, "mis:luby", seed=seed)
         assert check_mis(graph, mis)
         assert rounds >= 1
 
     def test_mis_from_ruling_sweep(self):
         graph, _d, _g = cage("heawood")
-        mis, _rounds = mis_from_ruling_sweep(graph)
+        mis, _rounds = _mis(graph, "ruling-set:class-sweep")
         assert check_mis(graph, mis)
 
 
@@ -198,7 +216,13 @@ class TestSinklessOrientation:
 
     def test_supported_rounds_constant(self):
         graph, _d, _g = cage("petersen")
-        assert supported_sinkless_orientation_rounds(graph) == 0
+        report = api.solve(
+            "sinkless-orientation:Δ=3",
+            algorithm="sinkless-orientation:global",
+            graph=graph,
+            check=False,
+        )
+        assert report.rounds == 0
 
 
 class TestXMaximalYMatchingChecker:

@@ -4,7 +4,7 @@ import pytest
 
 from repro import api
 from repro.checkers import CheckResult
-from repro.graphs import bipartite_double_cover, cage
+from repro.graphs import bipartite_double_cover, cage, mark_bipartition
 from repro.local import Network, RunResult
 from repro.problems.registry import (
     available_families,
@@ -202,6 +202,53 @@ class TestSolve:
         assert report.rounds == 2  # Δ' = 1: one phase of two rounds
         assert report.outputs == single  # the lone input edge gets matched
 
+    @pytest.mark.parametrize(
+        "problem,algorithm,options",
+        [
+            ("arbdefective:Δ=4,c=2", "arbdefective:class-sweep", {"colors": 1}),
+            ("ruling-set:Δ=3,c=1,β=1", "ruling-set:class-sweep", {"beta": 3}),
+            ("maximal-matching:Δ=3", "matching:proposal", {"input_edge": []}),
+        ],
+        ids=["colors", "beta", "typo"],
+    )
+    def test_undeclared_options_rejected(self, problem, algorithm, options):
+        """β and c come from the spec only, and an option the algorithm
+        does not read is an error, not silently ignored."""
+        for entry in (api.solve, api.simulate):
+            with pytest.raises(api.SpecError) as exc:
+                entry(problem, algorithm=algorithm, n=16, **options)
+            assert exc.value.code == "bad-spec"
+            accepted = list(api.resolve_algorithm(algorithm).options)
+            assert f"accepted options: {accepted}" in str(exc.value)
+
+    def test_input_edges_outside_the_support_graph_rejected(self):
+        """The model requires G′ ⊆ G: white–white non-edges of a bipartite
+        cover used to count into Δ′ on both engines; now the first
+        foreign edge in ``str`` order is named, unhashable ones too."""
+        graph, _d, _g = cage("petersen")
+        cover = mark_bipartition(bipartite_double_cover(graph))
+        whites = sorted(
+            (node for node, color in cover.nodes(data="color") if color == "white"),
+            key=str,
+        )
+        foreign = [frozenset(pair) for pair in zip(whites[0:8:2], whites[1:8:2])]
+        edges = [frozenset(edge) for edge in sorted(cover.edges, key=str)[:10]]
+        for engine in api.available_engines():
+            for input_edges, named in (
+                (edges + foreign, min(foreign, key=str)),
+                ([[[0, 0], [1, 1]]], [[0, 0], [1, 1]]),
+            ):
+                with pytest.raises(InvalidParameterError) as exc:
+                    api.solve(
+                        "maximal-matching:Δ=3",
+                        algorithm="matching:proposal",
+                        engine=engine,
+                        graph=cover,
+                        input_edges=input_edges,
+                    )
+                assert api.error_code(exc.value) == "bad-parameter"
+                assert f"input edge {named!r} is not an edge" in str(exc.value)
+
     def test_global_algorithm_zero_rounds(self):
         report = api.solve(
             "sinkless-orientation:Δ=3",
@@ -274,38 +321,6 @@ class TestSimulate:
         assert len(seen) == result.rounds
         assert measurement.rounds == result.rounds
 
-    def test_global_algorithm_simulates_directly(self):
-        # All shipped algorithms are message-kind since the vectorized
-        # port, so exercise the global path with a scratch instance
-        # (simulate accepts Algorithm instances directly).
-        class _GlobalEmptySet(api.Algorithm):
-            name = "mis:global-empty"
-            families = ("mis",)
-            kind = "global"
-
-            def run_global(self, network, spec, options, seed):
-                return set(), 0
-
-        result, measurement = api.simulate(
-            "mis:Δ=3", algorithm=_GlobalEmptySet(), n=16
-        )
-        assert isinstance(result.outputs, set)
-        assert measurement.rounds == result.rounds == 0
-        assert measurement.messages_delivered == 0
-
-    def test_engine_validated_even_for_global_algorithms(self):
-        class _GlobalEmptySet(api.Algorithm):
-            name = "mis:global-empty"
-            families = ("mis",)
-            kind = "global"
-
-            def run_global(self, network, spec, options, seed):
-                return set(), 0
-
+    def test_engine_validated(self):
         with pytest.raises(InvalidParameterError, match="unknown engine"):
-            api.simulate(
-                "mis:Δ=3",
-                algorithm=_GlobalEmptySet(),
-                engine="warp",
-                n=16,
-            )
+            api.simulate("mis:Δ=3", algorithm="mis:aapr23", engine="warp", n=16)

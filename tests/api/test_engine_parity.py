@@ -1,9 +1,12 @@
 """Engine equivalence: every registered algorithm, on every engine, over
 seeded random graphs, produces identical outputs, round counts and
-canonical JSON — the contract that makes engines freely interchangeable.
-The same holds for protocol violations: every engine must reject the same
-malformed ``send()`` dicts with the same ``SimulationError`` text."""
+canonical JSON — the contract that makes engines freely interchangeable —
+and hits the round limit at the same round with the same error text.
 
+The port-key contract of node programs' ``send()`` dicts is checked on
+the object engine only: kernels address half-edges, never port dicts."""
+
+import re
 from fractions import Fraction
 
 import networkx as nx
@@ -93,85 +96,82 @@ def _sender(messages_factory):
     return Probe
 
 
-def _run_probe(engine, messages_factory):
+def _run_object(factory):
     network = Network(graph=nx.path_graph(2))
-    program = MessagePassingProgram(factory=_sender(messages_factory))
-    return resolve_engine(engine).run(network, program)
+    return resolve_engine("object").run(
+        network, MessagePassingProgram(factory=factory)
+    )
 
 
-#: Port keys every engine must accept as port 1 (set-membership equality:
-#: anything == 1 names port 1) on a degree-1 node, and keys every engine
-#: must reject as stray.  The matrix pins the coercion contract of the
-#: object engine's set-membership port check (``local/simulator.py``) —
-#: bools, integral floats and integral Fractions are ports; strings,
-#: fractional values and out-of-range ints are violations.
+#: Port keys the object engine accepts as port 1 (set-membership equality:
+#: anything == 1 names port 1) on a degree-1 node, and keys it rejects as
+#: stray.  The matrix pins the coercion contract of the set-membership
+#: port check (``local/simulator.py``) — bools, integral floats and
+#: integral Fractions are ports; strings, fractional values and
+#: out-of-range ints are violations.
 ACCEPTED_PORT_KEYS = [1, True, 1.0, Fraction(1, 1)]
 REJECTED_PORT_KEYS = [0, 99, -1, "1", "a", 2.5, Fraction(3, 2), None, (1,)]
 
 
 @pytest.mark.parametrize("key", ACCEPTED_PORT_KEYS, ids=repr)
-def test_engines_agree_on_accepted_port_keys(key):
-    results = {
-        engine: _run_probe(engine, lambda: {key: "ping"})
-        for engine in api.available_engines()
-    }
-    reference = results["object"]
-    assert reference.outputs == {0: {1: "ping"}, 1: {1: "ping"}}
-    for engine, result in results.items():
-        assert result.outputs == reference.outputs, engine
-        assert result.rounds == reference.rounds, engine
+def test_accepted_port_keys(key):
+    result = _run_object(_sender(lambda: {key: "ping"}))
+    assert result.outputs == {0: {1: "ping"}, 1: {1: "ping"}}
+    assert result.rounds == 1
 
 
 @pytest.mark.parametrize("key", REJECTED_PORT_KEYS, ids=repr)
-def test_engines_agree_on_rejected_port_keys(key):
-    errors = {}
-    for engine in api.available_engines():
-        with pytest.raises(SimulationError) as info:
-            _run_probe(engine, lambda: {key: "ping"})
-        errors[engine] = str(info.value)
-    reference = errors["object"]
-    assert "invalid ports" in reference
-    for engine, text in errors.items():
-        assert text == reference, engine
+def test_rejected_port_keys(key):
+    with pytest.raises(SimulationError, match="invalid ports"):
+        _run_object(_sender(lambda: {key: "ping"}))
 
 
 def test_heterogeneous_invalid_ports_raise_simulation_error():
     """Regression: mixed-type port keys (``{"a": m, 99: m}``) used to hit
     ``sorted()``'s cross-type comparison and escape as ``TypeError``; the
-    protocol violation must surface as a ``SimulationError`` with one text
-    on every engine."""
-    errors = {}
-    for engine in api.available_engines():
-        with pytest.raises(SimulationError) as info:
-            _run_probe(engine, lambda: {"a": "x", 99: "y"})
-        errors[engine] = str(info.value)
-    reference = errors["object"]
-    assert "invalid ports [99, 'a']" in reference
-    for engine, text in errors.items():
-        assert text == reference, engine
+    protocol violation must surface as a ``SimulationError``."""
+    with pytest.raises(SimulationError, match=re.escape("invalid ports [99, 'a']")):
+        _run_object(_sender(lambda: {"a": "x", 99: "y"}))
 
 
 def test_heterogeneous_ports_after_halt_raise_simulation_error():
     """The halted-during-send violation takes the same heterogeneous-key
-    path; it too must stay a SimulationError with one text everywhere."""
+    path; it too must stay a SimulationError."""
 
     class HaltsButSends(NodeAlgorithm):
         def send(self):
             self.halt(None)
             return {"a": "x", 99: "y"}
 
-    errors = {}
+    with pytest.raises(SimulationError) as info:
+        _run_object(HaltsButSends)
+    assert "halted during send()" in str(info.value)
+    assert "[99, 'a']" in str(info.value)
+
+
+@pytest.mark.parametrize("spec,algorithm", CASES)
+def test_engines_agree_at_the_round_limit(spec, algorithm):
+    """With ``max_rounds`` at the object engine's round count both engines
+    return identical bytes; one round fewer, both raise the same error."""
+
+    def run(engine, max_rounds):
+        return api.solve(
+            spec, algorithm=algorithm, engine=engine, n=16, seed=0,
+            max_rounds=max_rounds,
+        )
+
+    rounds = run("object", 10_000).rounds
+    at_limit = {run(engine, rounds).canonical_json() for engine in api.available_engines()}
+    assert len(at_limit) == 1
+    if rounds == 0:  # every node halts at init: there is no round to cut
+        assert algorithm == "sinkless-orientation:global"
+        return
+    errors = set()
     for engine in api.available_engines():
-        network = Network(graph=nx.path_graph(2))
-        program = MessagePassingProgram(factory=HaltsButSends)
         with pytest.raises(SimulationError) as info:
-            resolve_engine(engine).run(network, program)
-        errors[engine] = str(info.value)
-    reference = errors["object"]
-    assert "halted during send()" in reference
-    assert "[99, 'a']" in reference
-    for engine, text in errors.items():
-        assert text == reference, engine
+            run(engine, rounds - 1)
+        errors.add(str(info.value))
+    assert errors == {f"algorithm did not halt within {rounds - 1} rounds"}
 
 
 @pytest.mark.parametrize("seed", [0, 5])

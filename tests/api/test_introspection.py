@@ -9,7 +9,6 @@ from repro.api import (
     REPORT_SCHEMA,
     AlgorithmMismatchError,
     ApiError,
-    EngineMismatchError,
     SolveReport,
     SpecError,
     UnknownAlgorithmError,
@@ -33,7 +32,6 @@ class TestListAlgorithms:
         entry = next(
             e for e in list_algorithms() if e["name"] == "matching:proposal"
         )
-        assert entry["kind"] == "message"
         assert "matching" in entry["families"]
         assert "maximal-matching" in entry["families"]
         assert entry["description"]
@@ -79,7 +77,7 @@ class TestErrorHierarchy:
         # hierarchy must stay inside it.
         for cls in (
             ApiError, SpecError, UnknownAlgorithmError, UnknownEngineError,
-            AlgorithmMismatchError, EngineMismatchError,
+            AlgorithmMismatchError,
         ):
             assert issubclass(cls, InvalidParameterError)
 

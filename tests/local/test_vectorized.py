@@ -1,19 +1,14 @@
 """The vectorized engine: CSR array compilation, kernel dispatch, the
-drop rule over arrays, and the per-node fallback for unported programs."""
+drop rule over arrays, and the refusal of programs without a kernel."""
 
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro import api
-from repro.api.types import VectorizedSpec
+from repro.api.types import MessagePassingProgram
 from repro.graphs import cage, cycle
-from repro.local import (
-    EngineProbe,
-    Network,
-    NodeAlgorithm,
-    run_synchronous,
-)
+from repro.local import EngineProbe, Network, NodeAlgorithm
 from repro.local.simulator import RoundTrace
 from repro.local.vectorized import (
     KERNELS,
@@ -36,17 +31,17 @@ class _EchoIds(NodeAlgorithm):
 
 class _BroadcastOnce(VectorizedAlgorithm):
     """Toy kernel: round 1, every live node announces on every port, then
-    everyone halts.  Nodes named in ``data["pre_halted"]`` halt in init —
+    everyone halts.  Nodes whose ``pre_halted`` flag is set halt in init —
     messages addressed to them must be dropped by the engine."""
 
-    def __init__(self, vnet, network, data, rng_for=None):
-        super().__init__(vnet, network, data, rng_for=rng_for)
+    def __init__(self, vnet, per_node, shared, rng_for=None):
+        super().__init__(vnet, per_node, shared, rng_for=rng_for)
         self.heard = np.zeros(vnet.n, dtype=np.int64)
 
     def init_all(self):
-        pre = self.data.get("pre_halted", ())
+        pre_halted = self.per_node["pre_halted"]
         for i, node in enumerate(self.vnet.nodes):
-            if node in pre:
+            if pre_halted[node]:
                 self.halted[i] = True
 
     def send_all(self, rnd):
@@ -77,6 +72,19 @@ class _BroadcastOnceNode(NodeAlgorithm):
 class _NeverHalts(VectorizedAlgorithm):
     def outputs_all(self):
         return [None] * self.vnet.n
+
+
+def _broadcast_program(nodes, pre_halted) -> MessagePassingProgram:
+    """One declaration for both forms of the broadcast toy."""
+    return MessagePassingProgram(
+        factory=_BroadcastOnceNode,
+        kernel="test:broadcast",
+        per_node={"pre_halted": {node: node in pre_halted for node in nodes}},
+    )
+
+
+def _run(engine, network, program, **kwargs):
+    return api.resolve_engine(engine).run(network, program, **kwargs)
 
 
 def _with_isolated_nodes():
@@ -147,11 +155,9 @@ class TestKernelDispatch:
         probe = EngineProbe()
         result = run_vectorized(
             network,
-            _EchoIds,  # factory is unused when the kernel dispatches
+            "test:broadcast",
+            {"pre_halted": {0: True, 1: False, 2: False, 3: False}},
             on_round=probe,
-            vectorized=VectorizedSpec(
-                kernel="test:broadcast", data={"pre_halted": frozenset({0})}
-            ),
         )
         # Nodes 1,2,3 each broadcast on 2 ports = 6 sends; the two
         # addressed to pre-halted node 0 are dropped.
@@ -169,12 +175,7 @@ class TestKernelDispatch:
     def test_nonhalting_kernel_detected(self, monkeypatch):
         monkeypatch.setitem(KERNELS, "test:forever", _NeverHalts)
         with pytest.raises(SimulationError, match="did not halt within 5"):
-            run_vectorized(
-                Network(graph=cycle(3)),
-                _EchoIds,
-                max_rounds=5,
-                vectorized=VectorizedSpec(kernel="test:forever"),
-            )
+            run_vectorized(Network(graph=cycle(3)), "test:forever", max_rounds=5)
 
     @pytest.mark.parametrize(
         "pre_halted",
@@ -188,30 +189,21 @@ class TestKernelDispatch:
         run when every node halts in init."""
         monkeypatch.setitem(KERNELS, "test:broadcast", _BroadcastOnce)
 
-        def run(engine, **kwargs):
+        def run(engine):
+            network = Network(graph=cycle(6))
+            program = _broadcast_program(network.graph.nodes, pre_halted)
             probe = EngineProbe()
-            result = engine(
-                Network(graph=cycle(6)),
-                _BroadcastOnceNode,
-                extra=lambda node: {"pre_halted": node in pre_halted},
-                on_round=probe,
-                **kwargs,
-            )
+            result = _run(engine, network, program, probe=probe)
             return result, probe.traces
 
-        kernel_run = run(
-            run_vectorized,
-            vectorized=VectorizedSpec(
-                kernel="test:broadcast", data={"pre_halted": pre_halted}
-            ),
-        )
-        assert kernel_run == run(run_synchronous)
+        kernel_run = run("vectorized")
+        assert kernel_run == run("object")
         assert kernel_run[0].rounds == (0 if len(pre_halted) == 6 else 1)
 
     def test_shipped_programs_name_registered_kernels(self):
-        """The ported suites really dispatch to kernels — a renamed kernel
-        would raise at dispatch (and an unattached spec would silently
-        fall back, voiding the speedup claim)."""
+        """Every registered algorithm runs on the vectorized engine: a
+        program without a kernel, or with a renamed one, would raise at
+        dispatch."""
         cases = [
             ("matching:proposal", "matching:delta=3,x=0,y=1"),
             ("mis:aapr23", "mis:delta=3"),
@@ -226,41 +218,30 @@ class TestKernelDispatch:
             spec = api.ProblemSpec.parse(spec_text)
             network = algorithm.default_network(spec, n=16, seed=0)
             program = algorithm.program(network, spec, {})
-            assert program.vectorized is not None, algorithm_name
-            assert program.vectorized.kernel in KERNELS, algorithm_name
+            assert program.kernel in KERNELS, algorithm_name
 
 
-class TestFallback:
-    def test_no_spec_falls_back_to_object_semantics(self):
+class TestKernelRequired:
+    """The vectorized engine runs kernels only; there is no per-node path."""
+
+    def test_program_without_kernel_raises(self):
         network = Network(graph=cycle(4))
-        assert run_vectorized(network, _EchoIds) == run_synchronous(
-            Network(graph=cycle(4)), _EchoIds
-        )
+        program = MessagePassingProgram(factory=_EchoIds)
+        assert _run("object", network, program).rounds == 1
+        with pytest.raises(SimulationError, match="unknown kernel None") as exc:
+            _run("vectorized", network, program)
+        assert "engine='object'" in str(exc.value)
 
-    def test_unknown_kernel_raises_instead_of_falling_back(self):
-        """A spec naming an unregistered kernel is a bug (typo'd name,
-        kernel renamed without the spec): it must fail loudly, not
-        silently lose the speedup to the per-node path."""
+    def test_unknown_kernel_raises(self):
+        """A program naming an unregistered kernel (a typo, or a kernel
+        renamed without its program) fails with the same error."""
         network = Network(graph=cycle(4))
         with pytest.raises(SimulationError, match="unknown kernel") as exc:
-            run_vectorized(
-                network,
-                _EchoIds,
-                vectorized=VectorizedSpec(kernel="no-such-kernel"),
-            )
-        # The message names the typo and the registry contents.
+            run_vectorized(network, "no-such-kernel")
+        # The message names the typo, the registry and the way out.
         assert "no-such-kernel" in str(exc.value)
         assert "matching:proposal" in str(exc.value)
-
-    def test_fallback_traces_match_object_engine(self):
-        def run(engine):
-            probe = EngineProbe()
-            result = engine(
-                Network(graph=cycle(6)), _EchoIds, on_round=probe
-            )
-            return result, probe.traces
-
-        assert run(run_vectorized) == run(run_synchronous)
+        assert "engine='object'" in str(exc.value)
 
 
 class TestKernelTraceParity:
@@ -283,25 +264,14 @@ class TestKernelTraceParity:
         algorithm = api.resolve_algorithm(algorithm_name)
         spec = api.ProblemSpec.parse(spec_text)
 
-        def run(engine, with_spec):
+        def run(engine):
             network = algorithm.default_network(spec, n=16, seed=0)
             program = algorithm.program(network, spec, {})
             probe = EngineProbe()
-            kwargs = {}
-            if program.rng_streams is not None:
-                kwargs["rng_for"] = program.rng_streams(network, 0)
-            if with_spec:
-                kwargs["vectorized"] = program.vectorized
-            result = engine(
-                network,
-                program.factory,
-                extra=program.extra,
-                on_round=probe,
-                **kwargs,
-            )
+            result = _run(engine, network, program, probe=probe)
             return result, probe.traces
 
-        assert run(run_vectorized, True) == run(run_synchronous, False)
+        assert run("vectorized") == run("object")
 
 
 def _coloring_program(network, options):
@@ -320,12 +290,7 @@ class TestSweepKernelEdges:
         program = _coloring_program(
             network, {"initial_coloring": {i: i for i in range(5)}}
         )
-        result = run_vectorized(
-            network,
-            program.factory,
-            extra=program.extra,
-            vectorized=program.vectorized,
-        )
+        result = _run("vectorized", network, program)
         # mex down the path: each value is dictated by the announced
         # color of the already-final neighbor, so a lost payload shows.
         assert result.outputs == {0: 0, 1: 1, 2: 0, 3: 1, 4: 0}
@@ -334,12 +299,7 @@ class TestSweepKernelEdges:
     def test_empty_graph_runs_zero_rounds(self):
         network = Network(graph=nx.Graph())
         program = _coloring_program(network, {})
-        result = run_vectorized(
-            network,
-            program.factory,
-            extra=program.extra,
-            vectorized=program.vectorized,
-        )
+        result = _run("vectorized", network, program)
         assert result.outputs == {}
         assert result.rounds == 0
 
@@ -348,51 +308,11 @@ class TestSweepKernelEdges:
         color 0 in zero rounds (the per-node program's halt(0) branch)."""
         options = {"initial_coloring": dict.fromkeys(range(4), -1)}
 
-        def run(engine, with_spec):
+        def run(engine):
             network = Network(graph=cycle(4))
-            program = _coloring_program(network, options)
-            kwargs = {"vectorized": program.vectorized} if with_spec else {}
-            return engine(
-                network, program.factory, extra=program.extra, **kwargs
-            )
+            return _run(engine, network, _coloring_program(network, options))
 
-        result = run(run_vectorized, True)
-        assert result == run(run_synchronous, False)
+        result = run("vectorized")
+        assert result == run("object")
         assert result.rounds == 0
         assert result.outputs == dict.fromkeys(range(4), 0)
-
-
-class TestEnginePathTelemetry:
-    def test_kernel_dispatch_reported_to_probe(self):
-        _result, measurement = api.simulate(
-            "mis:delta=3",
-            algorithm="mis:aapr23",
-            engine="vectorized",
-            n=16,
-        )
-        assert measurement.engine_path == "kernel"
-        # Telemetry only: canonical records stay engine-blind.
-        assert "engine_path" not in measurement.as_record()
-
-    def test_fallback_reported_to_probe(self):
-        probe = EngineProbe()
-        run_vectorized(Network(graph=cycle(4)), _EchoIds, on_round=probe)
-        assert probe.engine_path == "fallback"
-
-    def test_object_engine_leaves_path_empty(self):
-        _result, measurement = api.simulate(
-            "mis:delta=3", algorithm="mis:aapr23", engine="object", n=16
-        )
-        assert measurement.engine_path == ""
-
-    def test_external_probe_forwarded_engine_path(self):
-        extern = EngineProbe()
-        _result, measurement = api.simulate(
-            "mis:delta=3",
-            algorithm="mis:aapr23",
-            engine="vectorized",
-            n=16,
-            probe=extern,
-        )
-        assert extern.engine_path == "kernel"
-        assert measurement.engine_path == "kernel"

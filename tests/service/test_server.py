@@ -155,6 +155,53 @@ class TestErrorMapping:
         assert service.errors == before + 1
 
 
+RULING = ("ruling-set:delta=3,colors=1,beta=1", "ruling-set:class-sweep")
+
+
+class TestSolveOptions:
+    @pytest.mark.parametrize(
+        "problem, algorithm, options",
+        [
+            (SPEC, ALGORITHM, {"seed": 3}),
+            (*RULING, {"beta": "2"}),
+            (SPEC, ALGORITHM, {"input_edge": [[0, 1]]}),
+            (*RULING, {"beta": 3}),
+        ],
+        ids=["facade-argument", "non-integer-beta", "typo", "beta-override"],
+    )
+    def test_undeclared_option_refused_before_a_worker(
+        self, service, problem, algorithm, options
+    ):
+        """Each used to answer ``internal``, be silently ignored, or (β)
+        override the spec under a record naming the spec's value."""
+        response = service.submit(
+            solve_request(problem, algorithm=algorithm, n=16, options=options)
+        )
+        assert response["status"] == "error"
+        assert response["error"]["code"] == "bad-spec"
+        accepted = list(api.resolve_algorithm(algorithm).options)
+        assert f"accepted options: {accepted}" in response["error"]["message"]
+        assert service.solves_computed == 0
+
+    @pytest.mark.parametrize(
+        "input_edges",
+        [[[0, 1]], [[[0, 0], [1, 1]]]],
+        ids=["not-an-edge", "list-endpoints"],
+    )
+    def test_input_edge_outside_the_support_graph(self, service, input_edges):
+        """G′ ⊆ G: a foreign edge used to answer ``ok`` with an invalid
+        matching, and list-valued endpoints ``internal``."""
+        response = service.submit(
+            solve_request(
+                SPEC, algorithm=ALGORITHM, n=16,
+                options={"input_edges": input_edges},
+            )
+        )
+        assert response["status"] == "error"
+        assert response["error"]["code"] == "bad-parameter"
+        assert "is not an edge of the support graph" in response["error"]["message"]
+
+
 class TestLifecycle:
     def test_closed_service_rejects(self):
         service = SolveService(jobs=1)
