@@ -13,13 +13,14 @@ so every node can run exactly 2Δ′ rounds and halt — round complexity
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 
 from repro.api.registry import Algorithm, register_algorithm
 from repro.api.types import MessagePassingProgram, ProblemSpec
 from repro.graphs.double_cover import mark_bipartition
 from repro.local.network import Network
 from repro.local.simulator import NodeAlgorithm
-from repro.utils import InvalidParameterError
+from repro.utils import InvalidParameterError, SimulationError
 
 
 class _ProposalNode(NodeAlgorithm):
@@ -105,16 +106,32 @@ def input_ports(network: Network, input_edges) -> dict:
 
 def matching_from_outputs(network: Network, outputs: dict) -> set[frozenset]:
     """Decode ``{"matched": port}`` node outputs into a matching edge set
-    (white outputs are authoritative; black outputs mirror them)."""
-    support = network.graph
-    matching: set[frozenset] = set()
-    for node, output in outputs.items():
-        if support.nodes[node]["color"] != "white":
-            continue
-        port = output.get("matched")
-        if port is not None:
-            matching.add(frozenset((node, network.via_port(node, port))))
-    return matching
+    (white outputs are authoritative; black outputs mirror them).
+
+    Port ``p`` of dense node ``i`` is half-edge ``indptr[i] + p - 1`` of
+    the network's CSR, whichever engine produced the outputs."""
+    csr = network.csr
+    nodes = csr.nodes
+    color = network.node_colors()
+    rows, ports = [], []
+    for i, node in enumerate(nodes):
+        port = outputs[node].get("matched")
+        if port is not None and color[node] == "white":
+            rows.append(i)
+            ports.append(port)
+    rows = np.array(rows, dtype=np.int64)
+    ports = np.array(ports, dtype=np.int64)
+    stray = np.flatnonzero((ports < 1) | (ports > csr.degrees[rows]))
+    if stray.size:
+        first = stray[0]
+        raise SimulationError(
+            f"node {nodes[rows[first]]!r} has no port {ports[first]}"
+        )
+    partners = csr.dest[csr.indptr[rows] + ports - 1]
+    return {
+        frozenset((nodes[i], nodes[j]))
+        for i, j in zip(rows.tolist(), partners.tolist())
+    }
 
 
 class ProposalMatching(Algorithm):
@@ -136,10 +153,11 @@ class ProposalMatching(Algorithm):
     def program(
         self, network: Network, spec: ProblemSpec, options: dict
     ) -> MessagePassingProgram:
-        support = network.graph
-        if any("color" not in support.nodes[node] for node in support.nodes):
-            mark_bipartition(support)
-        per_node = {"color": dict(support.nodes(data="color"))}
+        color = network.node_colors()
+        if color is None:
+            mark_bipartition(network.graph)
+            color = network.node_colors()
+        per_node = {"color": color}
         input_edges = options.get("input_edges")
         if input_edges is None:
             delta_prime = network.max_degree

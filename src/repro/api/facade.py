@@ -46,9 +46,15 @@ from repro.local.network import Network
 from repro.local.simulator import RoundTrace, RunResult
 
 
-def _check_matching(graph: nx.Graph, spec: ProblemSpec, solution) -> CheckResult:
+def _graph(network: Network | nx.Graph) -> nx.Graph:
+    return network.graph if isinstance(network, Network) else network
+
+
+def _check_matching(
+    network: Network | nx.Graph, spec: ProblemSpec, solution
+) -> CheckResult:
     return check_x_maximal_y_matching(
-        graph,
+        network,
         solution,
         x=spec.param("x", 0),
         y=spec.param("y", 1),
@@ -59,17 +65,19 @@ def _check_matching(graph: nx.Graph, spec: ProblemSpec, solution) -> CheckResult
 
 
 def _check_maximal_matching(
-    graph: nx.Graph, spec: ProblemSpec, solution
+    network: Network | nx.Graph, spec: ProblemSpec, solution
 ) -> CheckResult:
-    return check_x_maximal_y_matching(graph, solution, x=0, y=1)
+    return check_x_maximal_y_matching(network, solution, x=0, y=1)
 
 
-def _check_mis(graph: nx.Graph, spec: ProblemSpec, solution) -> CheckResult:
-    return check_mis(graph, solution)
+def _check_mis(network: Network | nx.Graph, spec: ProblemSpec, solution) -> CheckResult:
+    return check_mis(_graph(network), solution)
 
 
-def _check_coloring(graph: nx.Graph, spec: ProblemSpec, solution) -> CheckResult:
-    result = check_proper_coloring(graph, solution)
+def _check_coloring(
+    network: Network | nx.Graph, spec: ProblemSpec, solution
+) -> CheckResult:
+    result = check_proper_coloring(_graph(network), solution)
     colors = spec.param("colors")
     if result and colors is not None:
         used = len(set(solution.values()))
@@ -81,14 +89,16 @@ def _check_coloring(graph: nx.Graph, spec: ProblemSpec, solution) -> CheckResult
     return result
 
 
-def _check_ruling(graph: nx.Graph, spec: ProblemSpec, solution) -> CheckResult:
+def _check_ruling(
+    network: Network | nx.Graph, spec: ProblemSpec, solution
+) -> CheckResult:
     return check_ruling_set(
-        graph, solution, beta=spec.param("beta", 1), independent=True
+        _graph(network), solution, beta=spec.param("beta", 1), independent=True
     )
 
 
 def _check_arbdefective(
-    graph: nx.Graph, spec: ProblemSpec, solution
+    network: Network | nx.Graph, spec: ProblemSpec, solution
 ) -> CheckResult:
     # Spec parameters take precedence over the solution's self-declared
     # ones, and the claimed α is capped by the family's ⌊Δ/c⌋ — a
@@ -104,7 +114,7 @@ def _check_arbdefective(
                 reason=f"claimed α = {alpha} exceeds ⌊Δ/c⌋ = {alpha_cap}",
             )
     return check_arbdefective_coloring(
-        graph,
+        _graph(network),
         solution["color_of"],
         solution["orientation"],
         alpha,
@@ -112,13 +122,17 @@ def _check_arbdefective(
     )
 
 
-def _check_orientation(graph: nx.Graph, spec: ProblemSpec, solution) -> CheckResult:
-    return check_sinkless_orientation(graph, solution)
+def _check_orientation(
+    network: Network | nx.Graph, spec: ProblemSpec, solution
+) -> CheckResult:
+    return check_sinkless_orientation(_graph(network), solution)
 
 
-#: Family → checker(graph, spec, solution) used by check() and solve().
+#: Family → checker(network or graph, spec, solution) used by check() and
+#: solve().  Only the matching checkers read a Network's arrays; the
+#: others check its networkx graph.
 FAMILY_CHECKERS: dict[
-    str, Callable[[nx.Graph, ProblemSpec, object], CheckResult]
+    str, Callable[[Network | nx.Graph, ProblemSpec, object], CheckResult]
 ] = {
     "matching": _check_matching,
     "maximal-matching": _check_maximal_matching,
@@ -130,7 +144,9 @@ FAMILY_CHECKERS: dict[
 }
 
 
-def _family_check(spec: ProblemSpec, graph: nx.Graph, solution) -> CheckResult:
+def _family_check(
+    spec: ProblemSpec, network: Network | nx.Graph, solution
+) -> CheckResult:
     try:
         checker = FAMILY_CHECKERS[spec.family]
     except KeyError:
@@ -138,7 +154,7 @@ def _family_check(spec: ProblemSpec, graph: nx.Graph, solution) -> CheckResult:
             f"no validity checker registered for family {spec.family!r}; "
             f"checkable families: {sorted(FAMILY_CHECKERS)}"
         ) from None
-    return checker(graph, spec, solution)
+    return checker(network, spec, solution)
 
 
 def check(problem: ProblemSpec | str, graph, solution) -> CheckResult:
@@ -147,10 +163,7 @@ def check(problem: ProblemSpec | str, graph, solution) -> CheckResult:
     Dispatches on the spec's family to the matching concrete checker;
     accepts a :class:`Network` or a bare graph.
     """
-    spec = ProblemSpec.parse(problem)
-    if isinstance(graph, Network):
-        graph = graph.graph
-    return _family_check(spec, graph, solution)
+    return _family_check(ProblemSpec.parse(problem), graph, solution)
 
 
 def _resolve_network(
@@ -293,7 +306,7 @@ def solve(
         algo, spec, net, eng, seed=seed, max_rounds=max_rounds, options=options
     )
     solution = algo.finalize(net, spec, options, result.outputs)
-    check_result = _family_check(spec, net.graph, solution) if check else None
+    check_result = _family_check(spec, net, solution) if check else None
     return SolveReport(
         problem=spec.spec,
         family=spec.family,

@@ -7,30 +7,92 @@ paper's experiments use it: matchings run on 2-colored bipartite double
 covers, sinkless orientation on a min-degree-2 graph (a tree component
 admits no sinkless orientation), everything else on a random Δ-regular
 graph.
+
+The networks are built as arrays, never through networkx, yet equal
+``Network(graph=nx.random_regular_graph(Δ, n, seed))`` and its
+``bipartite_double_cover`` to the adjacency order:
+
+* the base graph's edges come from :func:`random_regular_edges`, which
+  replays networkx's generator draw for draw;
+* the double cover is index arithmetic: node ``(v, s)`` sits at dense
+  index ``2v + s`` with color ``s``, and base edge ``{u, v}`` becomes
+  ``(u,0)–(v,1)`` then ``(v,0)–(u,1)`` in base ``G.edges`` order;
+* the IDs 1..n rank the labels in ``str`` order by arithmetic
+  (:func:`str_rank`);
+* the CSR, which fixes the ports, is built with the network.
+
+The networkx graph and the port maps are built only if a consumer asks
+(see :class:`~repro.local.network.Network`).
 """
 
 from __future__ import annotations
 
-import networkx as nx
+import numpy as np
 
 from repro.api.types import ProblemSpec
-from repro.graphs import bipartite_double_cover
+from repro.graphs.regular import random_regular_edges
 from repro.local.network import Network
 
 #: Node count used when the caller gives neither a graph nor ``n``.
 DEFAULT_N = 64
 
 
-def _random_regular(n: int, degree: int, seed: int) -> nx.Graph:
-    """A seeded random ``degree``-regular graph on ~``n`` nodes.
+def str_rank(values: np.ndarray, sides: np.ndarray | None = None) -> np.ndarray:
+    """Rank of each label in ``str`` order, for labels ``v`` (``sides``
+    omitted) or ``(v, s)``, with ``v ≥ 0`` and ``s`` one digit.
 
-    Adjusts ``n`` upward to the nearest feasible value (n > degree and
-    n·degree even).
+    ``str(v)`` compares digit by digit and a proper prefix sorts first;
+    the same holds after ``"("`` and before ``", s)"``, because ``","``
+    sorts below every digit.  So the order is by ``v`` scaled to the
+    widest digit count, then by digit count, then by ``s``.
     """
+    values = np.asarray(values, dtype=np.int64)
+    powers = 10 ** np.arange(1, 19, dtype=np.int64)
+    digits = 1 + np.searchsorted(powers, values, side="right")
+    widest = int(digits.max(initial=1))
+    scaled = values * 10 ** (widest - digits)
+    keys = (digits, scaled) if sides is None else (sides, digits, scaled)
+    rank = np.empty(values.shape[0], dtype=np.int64)
+    rank[np.lexsort(keys)] = np.arange(values.shape[0])
+    return rank
+
+
+def _feasible(n: int, degree: int) -> int:
+    """``n`` raised to the nearest size a ``degree``-regular graph has
+    (n > degree and n·degree even)."""
     n = max(n, degree + 1)
-    if (n * degree) % 2:
-        n += 1
-    return nx.random_regular_graph(degree, n, seed=seed)
+    return n + (n * degree) % 2
+
+
+def _random_regular(n: int, degree: int, seed: int) -> Network:
+    """A seeded random ``degree``-regular network on ~``n`` nodes."""
+    n = _feasible(n, degree)
+    return Network.from_arrays(
+        tuple(range(n)),
+        random_regular_edges(degree, n, seed),
+        ids=str_rank(np.arange(n)) + 1,
+    )
+
+
+def _double_cover(n: int, degree: int, seed: int) -> Network:
+    """The bipartite double cover of a random ``degree``-regular graph
+    on ~``n`` base nodes."""
+    n = _feasible(n, degree)
+    edges = random_regular_edges(degree, n, seed)
+    # Base G.edges visits each node's higher neighbors in adjacency
+    # order, which is the edge order among edges sharing a lower end.
+    u, v = edges[np.argsort(edges[:, 0], kind="stable")].T
+    cover = np.empty((2 * u.shape[0], 2), dtype=np.int64)
+    cover[0::2, 0], cover[0::2, 1] = 2 * u, 2 * v + 1
+    cover[1::2, 0], cover[1::2, 1] = 2 * v, 2 * u + 1
+    base = np.repeat(np.arange(n, dtype=np.int64), 2)
+    sides = np.tile(np.array([0, 1], dtype=np.int64), n)
+    return Network.from_arrays(
+        tuple((node, side) for node in range(n) for side in (0, 1)),
+        cover,
+        ids=str_rank(base, sides) + 1,
+        colors=sides,
+    )
 
 
 def family_network(spec: ProblemSpec, *, n: int | None, seed: int) -> Network:
@@ -40,8 +102,7 @@ def family_network(spec: ProblemSpec, *, n: int | None, seed: int) -> Network:
     if spec.family in ("matching", "maximal-matching"):
         # The §4 experiments run on 2-colored double covers; halve the
         # base graph so the cover lands on ~n nodes.
-        base = _random_regular(max(n // 2, delta + 1), delta, seed)
-        return Network(graph=bipartite_double_cover(base))
+        return _double_cover(max(n // 2, delta + 1), delta, seed)
     if spec.family in ("sinkless-orientation", "sinkless-coloring"):
-        return Network(graph=_random_regular(n, max(delta, 2), seed))
-    return Network(graph=_random_regular(n, delta, seed))
+        return _random_regular(n, max(delta, 2), seed)
+    return _random_regular(n, delta, seed)

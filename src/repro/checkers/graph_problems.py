@@ -12,6 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import networkx as nx
+import numpy as np
+
+from repro.local.network import Network
 
 
 @dataclass(frozen=True)
@@ -33,8 +36,34 @@ def _fail(reason: str) -> CheckResult:
     return CheckResult(valid=False, reason=reason)
 
 
+def _half_edges(graph: nx.Graph | Network) -> tuple:
+    """``(nodes, index, owner, dest, degree)``: the nodes in graph order,
+    node → dense index, both directions of every edge as dense arrays,
+    and each node's degree as networkx counts it (a self-loop twice)."""
+    if isinstance(graph, Network):
+        csr = graph.csr
+        return graph.nodes, graph.index, csr.owner, csr.dest, csr.degrees
+    nodes = tuple(graph.nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    ends = np.fromiter(
+        (index[end] for edge in graph.edges for end in edge),
+        dtype=np.int64,
+        count=2 * graph.number_of_edges(),
+    ).reshape(-1, 2)
+    degree = np.fromiter(
+        (degree for _, degree in graph.degree), dtype=np.int64, count=len(nodes)
+    )
+    return (
+        nodes,
+        index,
+        np.concatenate((ends[:, 0], ends[:, 1])),
+        np.concatenate((ends[:, 1], ends[:, 0])),
+        degree,
+    )
+
+
 def check_x_maximal_y_matching(
-    graph: nx.Graph,
+    graph: nx.Graph | Network,
     matching: set[frozenset],
     x: int,
     y: int,
@@ -44,34 +73,54 @@ def check_x_maximal_y_matching(
 
     Every node is incident to ≤ y matching edges; every unmatched node v
     has ≥ min{deg(v), Δ−x} matched neighbors.  Δ defaults to the graph's
-    maximum degree.
+    maximum degree.  One O(n + m) array pass over a graph or a
+    :class:`Network`'s CSR that reports the first violation in a fixed
+    order: ``matching`` order for non-edges, graph node order for the
+    rest.
     """
+    nodes, index, owner, dest, degree = _half_edges(graph)
+    n = len(nodes)
     if delta is None:
-        delta = max((graph.degree(v) for v in graph.nodes), default=0)
+        delta = int(degree.max(initial=0))
+    pairs, malformed = [], None
     for edge in matching:
-        u, v = tuple(edge)
-        if not graph.has_edge(u, v):
-            return _fail(f"matching edge {(u, v)} is not a graph edge")
-    incidence = {node: 0 for node in graph.nodes}
-    for edge in matching:
-        for endpoint in edge:
-            incidence[endpoint] += 1
-    for node, count in incidence.items():
-        if count > y:
-            return _fail(f"node {node!r} is matched {count} > y = {y} times")
-    matched = {node for node, count in incidence.items() if count > 0}
-    for node in graph.nodes:
-        if node in matched:
-            continue
-        matched_neighbors = sum(
-            1 for neighbor in graph.neighbors(node) if neighbor in matched
+        try:
+            u, v = tuple(edge)
+        except (TypeError, ValueError) as error:
+            # Raised as a scan edge by edge would: after any earlier
+            # non-edge is reported.
+            malformed = error
+            break
+        pairs.append((u, v))
+    ends = np.array(
+        [[index.get(u, -1), index.get(v, -1)] for u, v in pairs], dtype=np.int64
+    ).reshape(-1, 2)
+    # Directed keys of every half-edge, plus a sentinel above them all.
+    keys = np.sort(np.append(owner * n + dest, n * n))
+    wanted = ends[:, 0] * n + ends[:, 1]
+    is_edge = (ends >= 0).all(axis=1) & (keys[np.searchsorted(keys, wanted)] == wanted)
+    if not is_edge.all():
+        u, v = pairs[int(np.argmin(is_edge))]
+        return _fail(f"matching edge {(u, v)} is not a graph edge")
+    if malformed is not None:
+        raise malformed
+    incidence = np.bincount(ends.ravel(), minlength=n)
+    over = np.flatnonzero(incidence > y)
+    if over.size:
+        node = over[0]
+        return _fail(
+            f"node {nodes[node]!r} is matched {incidence[node]} > y = {y} times"
         )
-        needed = min(graph.degree(node), delta - x)
-        if matched_neighbors < needed:
-            return _fail(
-                f"unmatched node {node!r} has {matched_neighbors} matched "
-                f"neighbors < min{{deg, Δ−x}} = {needed}"
-            )
+    matched = incidence > 0
+    matched_neighbors = np.bincount(owner[matched[dest]], minlength=n)
+    needed = np.minimum(degree, delta - x)
+    short = np.flatnonzero(~matched & (matched_neighbors < needed))
+    if short.size:
+        node = short[0]
+        return _fail(
+            f"unmatched node {nodes[node]!r} has {matched_neighbors[node]} "
+            f"matched neighbors < min{{deg, Δ−x}} = {needed[node]}"
+        )
     return _ok()
 
 

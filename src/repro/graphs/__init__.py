@@ -1,4 +1,9 @@
-"""Graph substrates: certified high-girth graphs, covers, hypergraphs."""
+"""Graph substrates: certified high-girth graphs, covers, hypergraphs.
+
+:mod:`repro.graphs.regular` (random regular graphs as numpy edge arrays)
+is imported from its module, not re-exported here: the round-elimination
+path imports this package but never numpy.
+"""
 
 from repro.graphs.analysis import SupportGraphReport, analyze_support_graph
 from repro.graphs.cages import (
@@ -14,12 +19,7 @@ from repro.graphs.chromatic import (
     greedy_coloring,
     max_clique_lower_bound,
 )
-from repro.graphs.double_cover import (
-    bipartite_double_cover,
-    black_nodes,
-    mark_bipartition,
-    white_nodes,
-)
+from repro.graphs.double_cover import bipartite_double_cover, mark_bipartition
 from repro.graphs.generators import (
     CertifiedGraph,
     biregular_tree,
@@ -52,7 +52,6 @@ __all__ = [
     "available_cages",
     "bipartite_double_cover",
     "biregular_tree",
-    "black_nodes",
     "cage",
     "chromatic_lower_bound_from_independence",
     "complete_bipartite",
@@ -74,5 +73,4 @@ __all__ = [
     "random_regular_with_girth",
     "regular_uniform_hypergraph_from_graph",
     "theorem_b2_budget",
-    "white_nodes",
 ]

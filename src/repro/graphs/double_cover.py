@@ -14,6 +14,8 @@ import networkx as nx
 
 WHITE = 0
 BLACK = 1
+#: The ``color`` attribute of each side, indexed by ``WHITE``/``BLACK``.
+COLORS = ("white", "black")
 
 
 def bipartite_double_cover(graph: nx.Graph) -> nx.Graph:
@@ -25,8 +27,8 @@ def bipartite_double_cover(graph: nx.Graph) -> nx.Graph:
     """
     cover = nx.Graph()
     for node in graph.nodes:
-        cover.add_node((node, WHITE), color="white")
-        cover.add_node((node, BLACK), color="black")
+        cover.add_node((node, WHITE), color=COLORS[WHITE])
+        cover.add_node((node, BLACK), color=COLORS[BLACK])
     for u, v in graph.edges:
         cover.add_edge((u, WHITE), (v, BLACK))
         cover.add_edge((v, WHITE), (u, BLACK))
@@ -41,21 +43,6 @@ def mark_bipartition(graph: nx.Graph) -> nx.Graph:
     """
     coloring = nx.algorithms.bipartite.color(graph)
     for node, side in coloring.items():
-        graph.nodes[node]["color"] = "white" if side == 0 else "black"
+        graph.nodes[node]["color"] = COLORS[side]
     return graph
 
-
-def white_nodes(graph: nx.Graph) -> list:
-    """Nodes carrying color="white" (sorted for determinism)."""
-    return sorted(
-        (node for node, data in graph.nodes(data=True) if data.get("color") == "white"),
-        key=str,
-    )
-
-
-def black_nodes(graph: nx.Graph) -> list:
-    """Nodes carrying color="black" (sorted for determinism)."""
-    return sorted(
-        (node for node, data in graph.nodes(data=True) if data.get("color") == "black"),
-        key=str,
-    )

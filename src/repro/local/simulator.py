@@ -105,14 +105,15 @@ def run_synchronous(
     calling :meth:`halt` is rejected as a protocol violation.
     """
     algorithms: dict[object, NodeAlgorithm] = {}
-    for node in network.graph.nodes:
+    graph = network.graph
+    for node in graph.nodes:
         context = NodeContext(
             node=node,
             node_id=network.ids[node],
-            degree=network.graph.degree(node),
+            degree=graph.degree(node),
             n=network.n,
             max_degree=network.max_degree,
-            ports=tuple(range(1, network.graph.degree(node) + 1)),
+            ports=tuple(range(1, graph.degree(node) + 1)),
             random_bits=rng_for(node) if rng_for else None,
             extra=extra(node) if extra else {},
         )
@@ -146,7 +147,7 @@ def run_synchronous(
             # Set membership is the port-key coercion contract: any key
             # equal to an int in 1..deg names that port (True, 1.0,
             # Fraction(1, 1)); anything else is stray.
-            stray = set(messages) - set(range(1, network.graph.degree(node) + 1))
+            stray = set(messages) - set(range(1, graph.degree(node) + 1))
             if stray:
                 raise SimulationError(
                     f"node {node!r} sent on invalid ports {sorted(stray, key=str)}"

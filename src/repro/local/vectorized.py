@@ -5,11 +5,11 @@ one Python callback per node per round, which caps honest experiments
 near n ≈ 10^4.  This engine removes per-node Python from the hot loop
 entirely:
 
-* the network is compiled once into numpy CSR arrays
-  (:class:`VectorNetwork`) with two delivery maps precomputed —
-  ``owner[k]`` (which node emits half-edge ``k``) and ``reverse[k]`` (the
-  receiver-side half-edge, i.e. inbox slot, that a message along ``k``
-  lands in);
+* the network comes as numpy CSR arrays (:class:`VectorNetwork`, built
+  with a default network or once from a wrapped graph) with two delivery
+  maps precomputed — ``owner[k]`` (which node emits half-edge ``k``) and
+  ``reverse[k]`` (the receiver-side half-edge, i.e. inbox slot, that a
+  message along ``k`` lands in);
 * node state lives in struct-of-arrays form — int state vectors, float
   payload vectors, boolean halted/live masks — owned by a
   :class:`VectorizedAlgorithm` *kernel*;
@@ -43,79 +43,12 @@ Kernel contract (what keeps parity cheap to reason about):
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.local.network import Network
+from repro.local.network import Network, VectorNetwork
 from repro.local.simulator import RoundTrace, RunResult
 from repro.utils import SimulationError
-
-
-@dataclass(frozen=True)
-class VectorNetwork:
-    """A :class:`Network` compiled into numpy CSR arrays + delivery maps.
-
-    Nodes are indexed densely in ``network.graph.nodes`` order, and
-    half-edge ``k = indptr[i] + port - 1`` belongs to (node ``i``,
-    ``port``), so ``dest[k]`` is the neighbor behind that port.  Two
-    derived arrays make whole-array delivery possible: ``owner[k]`` is the
-    dense index of the node emitting ``k`` (the CSR row expanded), and
-    ``reverse[k]`` is the half-edge under which the message arrives at the
-    receiver (``dest[k]``'s port back to ``owner[k]``) — scattering
-    payloads from ``k`` to ``reverse[k]`` *is* delivery.
-    """
-
-    nodes: tuple
-    indptr: np.ndarray
-    dest: np.ndarray
-    owner: np.ndarray
-    reverse: np.ndarray
-    degrees: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.nodes)
-
-    @classmethod
-    def from_network(cls, network: Network) -> "VectorNetwork":
-        nodes = tuple(network.graph.nodes)
-        n = len(nodes)
-        index = {node: i for i, node in enumerate(nodes)}
-        rows = [network.neighbors(node) for node in nodes]
-        degrees = np.fromiter(map(len, rows), dtype=np.int64, count=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        dest = np.fromiter(
-            (index[neighbor] for row in rows for neighbor in row),
-            dtype=np.int64,
-            count=int(indptr[-1]),
-        )
-        owner = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        # i→j and j→i are the only two half-edges keyed {i, j}, so sorting
-        # by that key puts them side by side: pairing them is the reverse.
-        key = np.minimum(owner, dest) * n + np.maximum(owner, dest)
-        order = np.argsort(key)
-        reverse = np.empty_like(order)
-        reverse[order[0::2]] = order[1::2]
-        reverse[order[1::2]] = order[0::2]
-        return cls(
-            nodes=nodes,
-            indptr=indptr,
-            dest=dest,
-            owner=owner,
-            reverse=reverse,
-            degrees=degrees,
-        )
-
-    @classmethod
-    def of(cls, network: Network) -> "VectorNetwork":
-        """The (memoized) array compilation of ``network``."""
-        cached = network.__dict__.get("_vector_network")
-        if cached is None:
-            cached = cls.from_network(network)
-            network.__dict__["_vector_network"] = cached
-        return cached
 
 
 class VectorizedAlgorithm:

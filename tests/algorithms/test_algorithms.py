@@ -34,7 +34,9 @@ from repro.graphs import (
     greedy_coloring,
     mark_bipartition,
 )
-from repro.utils import GraphConstructionError
+from repro.algorithms.matching_dist import matching_from_outputs
+from repro.local import Network
+from repro.utils import GraphConstructionError, SimulationError
 
 
 def _matching(cover, **options):
@@ -91,6 +93,15 @@ class TestProposalMatching:
         cover = mark_bipartition(cycle(10))
         matching = greedy_maximal_matching(cover)
         assert check_maximal_matching(cover, matching)
+
+    def test_decoding_refuses_a_port_the_node_lacks(self):
+        network = Network(graph=mark_bipartition(cycle(4)))
+        outputs = {node: {"matched": None} for node in network.nodes}
+        assert matching_from_outputs(network, outputs) == set()
+        white = next(v for v, c in network.node_colors().items() if c == "white")
+        outputs[white] = {"matched": 3}
+        with pytest.raises(SimulationError, match=f"^node {white} has no port 3$"):
+            matching_from_outputs(network, outputs)
 
 
 class TestMIS:

@@ -1,5 +1,6 @@
 """The repro.api façade: spec parsing, registries, solve/check/simulate."""
 
+import networkx as nx
 import pytest
 
 from repro import api
@@ -13,7 +14,7 @@ from repro.problems.registry import (
     family_parameters,
     parse_spec,
 )
-from repro.utils import InvalidParameterError
+from repro.utils import InvalidParameterError, SimulationError
 
 
 class TestSpecParsing:
@@ -267,6 +268,48 @@ class TestSolve:
         assert "engine" not in record
         assert "wall_seconds" not in record
         assert record["rounds"] == report.rounds
+
+
+def _cycle_with_self_loop():
+    graph = nx.cycle_graph(4)
+    graph.add_edge(0, 0)
+    return graph
+
+
+class TestNetworkValidation:
+    """A network is refused at construction, before either engine runs,
+    so both engines report the same text."""
+
+    @pytest.mark.parametrize("engine", ["object", "vectorized"])
+    def test_self_loop_refused(self, engine):
+        with pytest.raises(SimulationError) as error:
+            api.solve(
+                "mis", algorithm="mis:luby", engine=engine, graph=_cycle_with_self_loop()
+            )
+        assert str(error.value) == (
+            "node 0 has a self-loop; LOCAL networks are simple graphs"
+        )
+
+    @pytest.mark.parametrize("engine", ["object", "vectorized"])
+    def test_ids_of_other_nodes_refused(self, engine):
+        with pytest.raises(SimulationError) as error:
+            api.solve(
+                "mis",
+                algorithm="mis:luby",
+                engine=engine,
+                network=Network(graph=nx.path_graph(3), ids={"a": 1, "b": 2, "c": 3}),
+            )
+        assert str(error.value) == "node 0 has no ID"
+
+    def test_check_accepts_bare_graphs_with_self_loops(self):
+        graph = _cycle_with_self_loop()
+        assert api.check("mis", graph, {0, 2})
+        assert api.check("maximal-matching", graph, {frozenset((0, 1)), frozenset((2, 3))})
+        verdict = api.check("maximal-matching", graph, {frozenset((1, 2))})
+        assert verdict == CheckResult(
+            valid=False,
+            reason="unmatched node 0 has 1 matched neighbors < min{deg, Δ−x} = 4",
+        )
 
 
 class TestCheck:

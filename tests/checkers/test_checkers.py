@@ -6,6 +6,7 @@ import time
 import networkx as nx
 import pytest
 
+from repro import api
 from repro.checkers import (
     CheckResult,
     check_arbdefective_colored_ruling_set,
@@ -20,6 +21,7 @@ from repro.checkers import (
     check_x_maximal_y_matching,
 )
 from repro.graphs import cage, cycle, mark_bipartition
+from repro.local import Network
 from repro.problems import maximal_matching_problem, pi_arbdefective
 
 
@@ -227,6 +229,123 @@ class TestRulingSetReasonParity:
             if planted != valid:
                 assert "adjacent" in check_mis(graph, planted).reason
             assert not check_mis(graph, uncovered)
+
+
+def _networkx_check_x_maximal_y_matching(graph, matching, x, y, delta=None):
+    """Reference for ``check_x_maximal_y_matching``: the networkx loop it
+    replaced, statement for statement."""
+    if delta is None:
+        delta = max((graph.degree(v) for v in graph.nodes), default=0)
+    for edge in matching:
+        u, v = tuple(edge)
+        if not graph.has_edge(u, v):
+            return CheckResult(
+                valid=False, reason=f"matching edge {(u, v)} is not a graph edge"
+            )
+    incidence = {node: 0 for node in graph.nodes}
+    for edge in matching:
+        for endpoint in edge:
+            incidence[endpoint] += 1
+    for node, count in incidence.items():
+        if count > y:
+            return CheckResult(
+                valid=False, reason=f"node {node!r} is matched {count} > y = {y} times"
+            )
+    matched = {node for node, count in incidence.items() if count > 0}
+    for node in graph.nodes:
+        if node in matched:
+            continue
+        matched_neighbors = sum(
+            1 for neighbor in graph.neighbors(node) if neighbor in matched
+        )
+        needed = min(graph.degree(node), delta - x)
+        if matched_neighbors < needed:
+            return CheckResult(
+                valid=False,
+                reason=f"unmatched node {node!r} has {matched_neighbors} matched "
+                f"neighbors < min{{deg, Δ−x}} = {needed}",
+            )
+    return CheckResult(valid=True)
+
+
+def _outcome(check, *args, **kwargs):
+    """A check's result, or the type and text of what it raised."""
+    try:
+        return check(*args, **kwargs)
+    except (TypeError, ValueError) as error:
+        return type(error), str(error)
+
+
+def _seeded_matching(graph, rng):
+    edges = [(u, v) for u, v in graph.edges if u != v]
+    rng.shuffle(edges)
+    matched, matching = set(), set()
+    for u, v in edges:
+        if u not in matched and v not in matched:
+            matching.add(frozenset((u, v)))
+            matched.update((u, v))
+    return matching
+
+
+def _planted_matchings(graph, rng):
+    """A valid maximal matching and violations planted into it."""
+    valid = _seeded_matching(graph, rng)
+    nodes = sorted(graph.nodes, key=str)
+    non_edges = [
+        frozenset((u, v))
+        for u in nodes[:6]
+        for v in nodes
+        if u != v and not graph.has_edge(u, v)
+    ][:2]
+    over = set(valid)
+    for u, v in sorted((e for e in graph.edges if e[0] != e[1]), key=str)[:3]:
+        over.add(frozenset((u, v)))
+    uncovered = set(valid)
+    for edge in sorted(valid, key=lambda e: sorted(map(str, e)))[:2]:
+        uncovered.discard(edge)
+    return {
+        "valid": valid,
+        "non-edges": valid | set(non_edges),
+        "over-matched": over,
+        "uncovered": uncovered,
+        "foreign": valid | {frozenset((nodes[0], "ghost"))},
+        "one-element": valid | {frozenset((nodes[-1],))},
+        "one-element-and-non-edge": valid | {frozenset((nodes[0],))} | set(non_edges),
+        "empty": set(),
+    }
+
+
+class TestMatchingReasonParity:
+    @pytest.mark.parametrize("labels", sorted(_LABELS))
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_matches_networkx_reference(self, shape, labels):
+        graph = nx.relabel_nodes(_SHAPES[shape](), _LABELS[labels])
+        # A Network reads the CSR; LOCAL networks have no self-loops.
+        simple = nx.number_of_selfloops(graph) == 0
+        network = Network(graph=graph) if simple else None
+        for seed in range(3):
+            for name, matching in _planted_matchings(graph, random.Random(seed)).items():
+                for x, y, delta in ((0, 1, None), (1, 1, None), (0, 2, 4), (2, 1, 3)):
+                    expected = _outcome(
+                        _networkx_check_x_maximal_y_matching, graph, matching, x, y, delta
+                    )
+                    assert _outcome(
+                        check_x_maximal_y_matching, graph, matching, x, y, delta
+                    ) == expected, (name, x, y, delta)
+                    if simple:
+                        assert _outcome(
+                            check_x_maximal_y_matching, network, matching, x, y, delta
+                        ) == expected, (name, x, y, delta)
+
+    def test_valid_cover_matching_on_arrays(self):
+        report = api.solve(
+            "matching:delta=3,x=0,y=1", algorithm="matching:proposal", n=200, seed=4
+        )
+        network = api.family_network(
+            api.ProblemSpec.parse("matching:delta=3,x=0,y=1"), n=200, seed=4
+        )
+        assert check_x_maximal_y_matching(network, report.outputs, x=0, y=1)
+        assert network._graph is None
 
 
 class TestCheckerScale:

@@ -50,6 +50,28 @@ class TestNetwork:
         with pytest.raises(SimulationError):
             Network(graph=cycle(3), ids={0: 1, 1: 1, 2: 2})
 
+    def test_ids_must_name_exactly_the_nodes(self):
+        with pytest.raises(SimulationError, match="^node 0 has no ID$"):
+            Network(graph=nx.path_graph(3), ids={"a": 1, "b": 2, "c": 3})
+        with pytest.raises(
+            SimulationError, match="^ID given for 'x', which is not a graph node$"
+        ):
+            Network(graph=nx.path_graph(2), ids={0: 1, 1: 2, "x": 3})
+
+    def test_self_loop_rejected(self):
+        graph = nx.path_graph(["a", "b", "c"])
+        graph.add_edge("c", "c")
+        with pytest.raises(SimulationError, match="^node 'c' has a self-loop"):
+            Network(graph=graph)
+
+    def test_ports_follow_neighbor_ids(self):
+        graph = nx.gnp_random_graph(30, 0.2, seed=5)
+        network = Network(graph=graph).with_random_ids(seed=3)
+        for node in graph.nodes:
+            expected = sorted(graph.neighbors(node), key=network.ids.get)
+            assert network.neighbors(node) == expected
+            assert [network.via_port(node, p) for p in range(1, len(expected) + 1)] == expected
+
 
 class _EchoIds(NodeAlgorithm):
     """One round: send own ID, collect neighbor IDs, halt."""

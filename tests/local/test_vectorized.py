@@ -96,9 +96,10 @@ def _with_isolated_nodes():
     return graph
 
 
-#: Networks the default regular double covers never produce.  String and
-#: tuple labels sort differently by ``str`` than in insertion order, and
-#: random IDs reorder every node's ports.
+#: Networks the default regular double covers never produce, plus one
+#: such cover, the only entry built from arrays.  String and tuple labels
+#: sort differently by ``str`` than in insertion order, and random IDs
+#: reorder every node's ports.
 PORT_MAP_NETWORKS = {
     "petersen": lambda: Network(graph=cage("petersen")[0]),
     "empty": lambda: Network(graph=nx.Graph()),
@@ -114,6 +115,9 @@ PORT_MAP_NETWORKS = {
     "random-ids": lambda: Network(
         graph=nx.gnp_random_graph(40, 0.1, seed=3)
     ).with_random_ids(seed=11),
+    "default-cover": lambda: api.family_network(
+        api.ProblemSpec.parse("matching:delta=3,x=0,y=1"), n=40, seed=1
+    ),
 }
 
 
@@ -130,9 +134,12 @@ class TestVectorNetwork:
         for i, node in enumerate(vnet.nodes):
             degree = network.graph.degree(node)
             assert vnet.degrees[i] == degree
+            # Ports follow neighbor IDs, whichever constructor built the CSR.
+            by_id = sorted(network.graph.neighbors(node), key=network.ids.get)
             for port in range(1, degree + 1):
                 k = vnet.indptr[i] + port - 1
                 neighbor = network.via_port(node, port)
+                assert neighbor == by_id[port - 1]
                 assert vnet.owner[k] == i
                 assert vnet.dest[k] == index[neighbor]
                 # reverse[k] is the receiver-side slot: the half-edge of
