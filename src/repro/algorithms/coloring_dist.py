@@ -140,7 +140,7 @@ class ClassSweepColoring(Algorithm):
     ) -> MessagePassingProgram:
         initial = options.get("initial_coloring")
         if initial is None:
-            initial = greedy_coloring(network.graph)
+            initial = greedy_coloring(network)
         return MessagePassingProgram(
             factory=_ClassSweepNode,
             kernel="coloring:class-sweep",
@@ -151,7 +151,7 @@ class ClassSweepColoring(Algorithm):
     def finalize(
         self, network: Network, spec: ProblemSpec, options: dict, outputs: dict
     ) -> dict:
-        return dict(outputs)
+        return dict(outputs.items())
 
 
 register_algorithm(ClassSweepColoring())

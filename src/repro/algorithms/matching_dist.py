@@ -12,14 +12,18 @@ so every node can run exactly 2Δ′ rounds and halt — round complexity
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import networkx as nx
 import numpy as np
 
 from repro.api.registry import Algorithm, register_algorithm
 from repro.api.types import MessagePassingProgram, ProblemSpec
 from repro.graphs.double_cover import mark_bipartition
+from repro.local.dense import PairSet, dense_values, raw_values
 from repro.local.network import Network
 from repro.local.simulator import NodeAlgorithm
+from repro.local.vectorized import matched_output
 from repro.utils import InvalidParameterError, SimulationError
 
 
@@ -104,23 +108,29 @@ def input_ports(network: Network, input_edges) -> dict:
     return {node: sorted(node_ports) for node, node_ports in ports.items()}
 
 
-def matching_from_outputs(network: Network, outputs: dict) -> set[frozenset]:
-    """Decode ``{"matched": port}`` node outputs into a matching edge set
-    (white outputs are authoritative; black outputs mirror them).
+def matching_from_outputs(network: Network, outputs: Mapping) -> PairSet:
+    """Decode ``{"matched": port}`` node outputs into the matching, a
+    :class:`PairSet` of (white, black) index pairs (white outputs are
+    authoritative; black outputs mirror them).
 
     Port ``p`` of dense node ``i`` is half-edge ``indptr[i] + p - 1`` of
-    the network's CSR, whichever engine produced the outputs."""
+    the network's CSR, whichever engine produced the outputs; the
+    vectorized engine's ports are read from its array, and any other
+    outputs are first turned into that array (−1: unmatched)."""
     csr = network.csr
     nodes = csr.nodes
-    color = network.node_colors()
-    rows, ports = [], []
-    for i, node in enumerate(nodes):
-        port = outputs[node].get("matched")
-        if port is not None and color[node] == "white":
-            rows.append(i)
-            ports.append(port)
-    rows = np.array(rows, dtype=np.int64)
-    ports = np.array(ports, dtype=np.int64)
+    white = dense_values(network.node_colors(), nodes) == "white"
+    ports = raw_values(outputs, nodes, matched_output)
+    if ports is None:
+        ports = np.array(
+            [
+                -1 if (port := outputs[node].get("matched")) is None else port
+                for node in nodes
+            ],
+            dtype=np.int64,
+        )
+    rows = np.flatnonzero(white & (ports != -1))
+    ports = ports[rows]
     stray = np.flatnonzero((ports < 1) | (ports > csr.degrees[rows]))
     if stray.size:
         first = stray[0]
@@ -128,10 +138,7 @@ def matching_from_outputs(network: Network, outputs: dict) -> set[frozenset]:
             f"node {nodes[rows[first]]!r} has no port {ports[first]}"
         )
     partners = csr.dest[csr.indptr[rows] + ports - 1]
-    return {
-        frozenset((nodes[i], nodes[j]))
-        for i, j in zip(rows.tolist(), partners.tolist())
-    }
+    return PairSet(network, np.column_stack((rows, partners)))
 
 
 class ProposalMatching(Algorithm):
@@ -172,8 +179,8 @@ class ProposalMatching(Algorithm):
         )
 
     def finalize(
-        self, network: Network, spec: ProblemSpec, options: dict, outputs: dict
-    ) -> set[frozenset]:
+        self, network: Network, spec: ProblemSpec, options: dict, outputs: Mapping
+    ) -> PairSet:
         return matching_from_outputs(network, outputs)
 
 

@@ -13,11 +13,14 @@ Two algorithms bracket the paper's §1.1 discussion of [AAPR23]:
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
+
+import numpy as np
 
 from repro.api.registry import Algorithm, register_algorithm
 from repro.api.types import MessagePassingProgram, ProblemSpec
 from repro.graphs.chromatic import greedy_coloring
+from repro.local.dense import NodeSet, dense_values
 from repro.local.network import Network
 from repro.local.simulator import NodeAlgorithm
 
@@ -104,13 +107,16 @@ def luby_rng_streams(network: Network, seed: int) -> Callable:
     master = random.Random(seed)
     sources = {
         node: random.Random(master.randrange(2**63))
-        for node in sorted(network.graph.nodes, key=str)
+        for node in sorted(network.nodes, key=str)
     }
     return lambda node: sources[node]
 
 
-def _mis_from_outputs(outputs: dict) -> set:
-    return {node for node, joined in outputs.items() if joined}
+def joined_nodes(network: Network, outputs: Mapping) -> NodeSet:
+    """The nodes whose output is truthy (joined), as a :class:`NodeSet`
+    read from the vectorized engine's array or node by node."""
+    joined = dense_values(outputs, network.nodes, bool)
+    return NodeSet(network, np.flatnonzero(joined))
 
 
 class SupportedMIS(Algorithm):
@@ -128,7 +134,7 @@ class SupportedMIS(Algorithm):
     def program(
         self, network: Network, spec: ProblemSpec, options: dict
     ) -> MessagePassingProgram:
-        coloring = greedy_coloring(network.graph)
+        coloring = greedy_coloring(network)
         return MessagePassingProgram(
             factory=_ColorClassMISNode,
             kernel="mis:class-sweep",
@@ -137,9 +143,9 @@ class SupportedMIS(Algorithm):
         )
 
     def finalize(
-        self, network: Network, spec: ProblemSpec, options: dict, outputs: dict
-    ) -> set:
-        return _mis_from_outputs(outputs)
+        self, network: Network, spec: ProblemSpec, options: dict, outputs: Mapping
+    ) -> NodeSet:
+        return joined_nodes(network, outputs)
 
 
 class LubyMIS(Algorithm):
@@ -157,9 +163,9 @@ class LubyMIS(Algorithm):
         )
 
     def finalize(
-        self, network: Network, spec: ProblemSpec, options: dict, outputs: dict
-    ) -> set:
-        return _mis_from_outputs(outputs)
+        self, network: Network, spec: ProblemSpec, options: dict, outputs: Mapping
+    ) -> NodeSet:
+        return joined_nodes(network, outputs)
 
 
 register_algorithm(SupportedMIS())

@@ -11,11 +11,15 @@ experiments.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import networkx as nx
 
+from repro.algorithms.mis import joined_nodes
 from repro.api.registry import Algorithm, register_algorithm
 from repro.api.types import MessagePassingProgram, ProblemSpec
 from repro.graphs.chromatic import greedy_coloring
+from repro.local.dense import NodeSet
 from repro.local.network import Network
 from repro.local.simulator import NodeAlgorithm
 from repro.utils import InvalidParameterError
@@ -143,7 +147,7 @@ class ClassSweepRulingSet(Algorithm):
             raise InvalidParameterError(f"need β ≥ 1, got {beta}")
         coloring = options.get("coloring")
         if coloring is None:
-            coloring = greedy_coloring(network.graph)
+            coloring = greedy_coloring(network)
         return MessagePassingProgram(
             factory=_ClassSweepRulingNode,
             kernel="ruling-set:class-sweep",
@@ -155,9 +159,9 @@ class ClassSweepRulingSet(Algorithm):
         )
 
     def finalize(
-        self, network: Network, spec: ProblemSpec, options: dict, outputs: dict
-    ) -> set:
-        return {node for node, joined in outputs.items() if joined}
+        self, network: Network, spec: ProblemSpec, options: dict, outputs: Mapping
+    ) -> NodeSet:
+        return joined_nodes(network, outputs)
 
 
 register_algorithm(ClassSweepRulingSet())

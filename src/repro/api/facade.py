@@ -71,7 +71,7 @@ def _check_maximal_matching(
 
 
 def _check_mis(network: Network | nx.Graph, spec: ProblemSpec, solution) -> CheckResult:
-    return check_mis(_graph(network), solution)
+    return check_mis(network, solution)
 
 
 def _check_coloring(
@@ -93,7 +93,7 @@ def _check_ruling(
     network: Network | nx.Graph, spec: ProblemSpec, solution
 ) -> CheckResult:
     return check_ruling_set(
-        _graph(network), solution, beta=spec.param("beta", 1), independent=True
+        network, solution, beta=spec.param("beta", 1), independent=True
     )
 
 
@@ -129,8 +129,9 @@ def _check_orientation(
 
 
 #: Family → checker(network or graph, spec, solution) used by check() and
-#: solve().  Only the matching checkers read a Network's arrays; the
-#: others check its networkx graph.
+#: solve().  The matching, MIS and ruling-set checkers read a Network's
+#: CSR (and an array-backed solution's indices); the others check its
+#: networkx graph.
 FAMILY_CHECKERS: dict[
     str, Callable[[Network | nx.Graph, ProblemSpec, object], CheckResult]
 ] = {

@@ -31,30 +31,11 @@ import numpy as np
 
 from repro.api.types import ProblemSpec
 from repro.graphs.regular import random_regular_edges
+from repro.local.dense import str_rank
 from repro.local.network import Network
 
 #: Node count used when the caller gives neither a graph nor ``n``.
 DEFAULT_N = 64
-
-
-def str_rank(values: np.ndarray, sides: np.ndarray | None = None) -> np.ndarray:
-    """Rank of each label in ``str`` order, for labels ``v`` (``sides``
-    omitted) or ``(v, s)``, with ``v ≥ 0`` and ``s`` one digit.
-
-    ``str(v)`` compares digit by digit and a proper prefix sorts first;
-    the same holds after ``"("`` and before ``", s)"``, because ``","``
-    sorts below every digit.  So the order is by ``v`` scaled to the
-    widest digit count, then by digit count, then by ``s``.
-    """
-    values = np.asarray(values, dtype=np.int64)
-    powers = 10 ** np.arange(1, 19, dtype=np.int64)
-    digits = 1 + np.searchsorted(powers, values, side="right")
-    widest = int(digits.max(initial=1))
-    scaled = values * 10 ** (widest - digits)
-    keys = (digits, scaled) if sides is None else (sides, digits, scaled)
-    rank = np.empty(values.shape[0], dtype=np.int64)
-    rank[np.lexsort(keys)] = np.arange(values.shape[0])
-    return rank
 
 
 def _feasible(n: int, degree: int) -> int:
@@ -67,10 +48,12 @@ def _feasible(n: int, degree: int) -> int:
 def _random_regular(n: int, degree: int, seed: int) -> Network:
     """A seeded random ``degree``-regular network on ~``n`` nodes."""
     n = _feasible(n, degree)
+    values = np.arange(n, dtype=np.int64)
     return Network.from_arrays(
         tuple(range(n)),
         random_regular_edges(degree, n, seed),
-        ids=str_rank(np.arange(n)) + 1,
+        ids=str_rank(values) + 1,
+        labels=(values, None),
     )
 
 
@@ -92,6 +75,7 @@ def _double_cover(n: int, degree: int, seed: int) -> Network:
         cover,
         ids=str_rank(base, sides) + 1,
         colors=sides,
+        labels=(base, sides),
     )
 
 

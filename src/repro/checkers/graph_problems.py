@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from repro.local.network import Network
+from repro.local.dense import NodeSet, PairSet, sorted_distinct
+from repro.local.network import Network, VectorNetwork
 
 
 @dataclass(frozen=True)
@@ -37,12 +38,17 @@ def _fail(reason: str) -> CheckResult:
 
 
 def _half_edges(graph: nx.Graph | Network) -> tuple:
-    """``(nodes, index, owner, dest, degree)``: the nodes in graph order,
-    node → dense index, both directions of every edge as dense arrays,
-    and each node's degree as networkx counts it (a self-loop twice)."""
+    """``(nodes, index_of, indptr, owner, dest, rank)``: the nodes in
+    graph order, a function returning node → dense index, both directions
+    of every edge grouped by owner (a CSR; a self-loop counts twice, as in
+    networkx degrees), and the rank that orders each CSR row (a
+    :class:`Network`'s ID rank; dense order for a bare graph)."""
     if isinstance(graph, Network):
         csr = graph.csr
-        return graph.nodes, graph.index, csr.owner, csr.dest, csr.degrees
+        return (
+            graph.nodes, lambda: graph.index, csr.indptr, csr.owner, csr.dest,
+            graph.id_rank,
+        )
     nodes = tuple(graph.nodes)
     index = {node: i for i, node in enumerate(nodes)}
     ends = np.fromiter(
@@ -50,15 +56,25 @@ def _half_edges(graph: nx.Graph | Network) -> tuple:
         dtype=np.int64,
         count=2 * graph.number_of_edges(),
     ).reshape(-1, 2)
-    degree = np.fromiter(
-        (degree for _, degree in graph.degree), dtype=np.int64, count=len(nodes)
-    )
-    return (
-        nodes,
-        index,
-        np.concatenate((ends[:, 0], ends[:, 1])),
-        np.concatenate((ends[:, 1], ends[:, 0])),
-        degree,
+    rank = np.arange(len(nodes))
+    csr = VectorNetwork.from_edges(nodes, ends, rank)
+    return nodes, lambda: index, csr.indptr, csr.owner, csr.dest, rank
+
+
+def _contains_sorted(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Which of ``wanted`` occur in the sorted array ``keys``."""
+    if not keys.shape[0]:
+        return np.zeros(wanted.shape[0], dtype=bool)
+    at = np.minimum(np.searchsorted(keys, wanted), keys.shape[0] - 1)
+    return keys[at] == wanted
+
+
+def _row_slots(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The half-edges of CSR ``rows``, row after row."""
+    counts = indptr[rows + 1] - indptr[rows]
+    ends = np.cumsum(counts)
+    return np.repeat(indptr[rows] - (ends - counts), counts) + np.arange(
+        ends[-1] if ends.shape[0] else 0
     )
 
 
@@ -76,31 +92,45 @@ def check_x_maximal_y_matching(
     maximum degree.  One O(n + m) array pass over a graph or a
     :class:`Network`'s CSR that reports the first violation in a fixed
     order: ``matching`` order for non-edges, graph node order for the
-    rest.
+    rest.  A :class:`PairSet` over the same nodes is read as its index
+    pairs; any other matching is converted once.
     """
-    nodes, index, owner, dest, degree = _half_edges(graph)
+    nodes, index_of, indptr, owner, dest, rank = _half_edges(graph)
     n = len(nodes)
+    degree = np.diff(indptr)
     if delta is None:
         delta = int(degree.max(initial=0))
-    pairs, malformed = [], None
-    for edge in matching:
-        try:
-            u, v = tuple(edge)
-        except (TypeError, ValueError) as error:
-            # Raised as a scan edge by edge would: after any earlier
-            # non-edge is reported.
-            malformed = error
-            break
-        pairs.append((u, v))
-    ends = np.array(
-        [[index.get(u, -1), index.get(v, -1)] for u, v in pairs], dtype=np.int64
-    ).reshape(-1, 2)
-    # Directed keys of every half-edge, plus a sentinel above them all.
-    keys = np.sort(np.append(owner * n + dest, n * n))
-    wanted = ends[:, 0] * n + ends[:, 1]
-    is_edge = (ends >= 0).all(axis=1) & (keys[np.searchsorted(keys, wanted)] == wanted)
+    pairs, malformed = None, None
+    if isinstance(matching, PairSet) and matching.over(nodes):
+        ends = matching.pairs
+    else:
+        pairs = []
+        for edge in matching:
+            try:
+                u, v = tuple(edge)
+            except (TypeError, ValueError) as error:
+                # Raised as a scan edge by edge would: after any earlier
+                # non-edge is reported.
+                malformed = error
+                break
+            pairs.append((u, v))
+        index = index_of()
+        ends = np.array(
+            [[index.get(u, -1), index.get(v, -1)] for u, v in pairs], dtype=np.int64
+        ).reshape(-1, 2)
+    # Directed keys owner·n + rank: each CSR row is in rank order, so the
+    # keys come sorted.
+    keys = owner * n + rank[dest]
+    known = (ends >= 0).all(axis=1)
+    is_edge = known.copy()
+    is_edge[known] = _contains_sorted(keys, ends[known, 0] * n + rank[ends[known, 1]])
     if not is_edge.all():
-        u, v = pairs[int(np.argmin(is_edge))]
+        first = int(np.argmin(is_edge))
+        if pairs is None:
+            a, b = ends[first].tolist()
+            u, v = tuple(frozenset((nodes[a], nodes[b])))
+        else:
+            u, v = pairs[first]
         return _fail(f"matching edge {(u, v)} is not a graph edge")
     if malformed is not None:
         raise malformed
@@ -203,40 +233,85 @@ def hop_distances(graph: nx.Graph, sources) -> dict:
 
 
 def check_ruling_set(
-    graph: nx.Graph, ruling_set: set, beta: int, independent: bool = False
+    graph: nx.Graph | Network, ruling_set: set, beta: int, independent: bool = False
 ) -> CheckResult:
     """β-domination: every node has an S-member within β hops.
 
     With ``independent=True`` additionally checks S is independent (the
-    (2,β)-ruling set condition).  One O(n + m) pass that reports the
-    first violation in a fixed order: ``str``-sorted S for members outside
-    the graph and for adjacent members, ``graph.nodes`` for coverage.
-    Self-loops do not break independence."""
+    (2,β)-ruling set condition).  One O(n + m) array pass over a graph or
+    a :class:`Network`'s CSR (a frontier-array BFS for domination) that
+    reports the first violation in a fixed order: ``str``-sorted S for
+    members outside the graph and for adjacent members, graph node order
+    for coverage.  Self-loops do not break independence.  A
+    :class:`NodeSet` over the same nodes is read as its member indices;
+    any other set is converted once."""
+    nodes, index_of, indptr, owner, dest, _rank = _half_edges(graph)
+    n = len(nodes)
     if not ruling_set:
-        if graph.number_of_nodes() == 0:
+        if n == 0:
             return _ok()
         return _fail("empty ruling set on a non-empty graph")
-    foreign = [node for node in ruling_set if node not in graph]
-    if foreign:
-        return _fail(f"S member {min(foreign, key=str)!r} is not a graph node")
-    distances = hop_distances(graph, ruling_set)
-    for node in graph.nodes:
-        if distances.get(node, float("inf")) > beta:
-            return _fail(f"node {node!r} is farther than β = {beta} from S")
+    if isinstance(ruling_set, NodeSet) and ruling_set.over(nodes):
+        members, elements = ruling_set.members, None
+    else:
+        index = index_of()
+        members, elements, foreign = [], [], []
+        for node in ruling_set:
+            i = index.get(node)
+            if i is None:
+                foreign.append(node)
+            else:
+                members.append(i)
+                elements.append(node)
+        if foreign:
+            return _fail(f"S member {min(foreign, key=str)!r} is not a graph node")
+        members = np.array(members, dtype=np.int64)
+    within = np.zeros(n, dtype=bool)
+    frontier, hops = members, 0
+    if beta >= 0:
+        within[members] = True
+    while frontier.shape[0] and hops + 1 <= beta:
+        hops += 1
+        around = dest[_row_slots(indptr, frontier)]
+        frontier = sorted_distinct(around[~within[around]])
+        within[frontier] = True
+    far = np.flatnonzero(~within)
+    if far.size:
+        return _fail(f"node {nodes[far[0]]!r} is farther than β = {beta} from S")
     if independent:
-        # Report the adjacent pair (u, v), u ranked before v, that comes
-        # first in str-rank order: the reason is part of canonical records.
-        members = sorted(ruling_set, key=str)
-        rank = {node: index for index, node in enumerate(members)}
-        for index, u in enumerate(members):
-            later = [
-                position
-                for v in graph.neighbors(u)
-                if (position := rank.get(v, -1)) > index
-            ]
-            if later:
-                return _fail(f"S contains adjacent nodes {u!r}, {members[min(later)]!r}")
+        in_s = np.zeros(n, dtype=bool)
+        in_s[members] = True
+        clash = in_s[owner] & in_s[dest] & (owner != dest)
+        if clash.any():
+            return _first_adjacent_pair(
+                nodes, members, elements, owner[clash], dest[clash]
+            )
     return _ok()
+
+
+def _first_adjacent_pair(nodes, members, elements, tails, heads) -> CheckResult:
+    """The adjacent pair (u, v) of S, u before v, that comes first when S
+    is sorted by ``str`` (stably, in S's iteration order): the reason is
+    part of canonical records.  ``tails``/``heads`` are the half-edges
+    joining two members; only their ends are sorted."""
+    if elements is None:
+        elements = [nodes[i] for i in members.tolist()]
+    touching = np.zeros(len(nodes), dtype=bool)
+    touching[tails] = True
+    involved = [
+        (i, element)
+        for i, element in zip(members.tolist(), elements)
+        if touching[i]
+    ]
+    involved.sort(key=lambda item: str(item[1]))
+    position = np.full(len(nodes), len(involved), dtype=np.int64)
+    position[[i for i, _ in involved]] = np.arange(len(involved))
+    first, second = position[tails], position[heads]
+    forward = first < second
+    pair = np.argmin(first[forward] * len(involved) + second[forward])
+    u = involved[first[forward][pair]][1]
+    v = involved[second[forward][pair]][1]
+    return _fail(f"S contains adjacent nodes {u!r}, {v!r}")
 
 
 def check_arbdefective_colored_ruling_set(

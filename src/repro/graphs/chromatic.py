@@ -72,8 +72,18 @@ def max_clique_lower_bound(graph: nx.Graph) -> int:
     return best
 
 
-def greedy_coloring(graph: nx.Graph) -> dict:
-    """Greedy (Δ+1)-coloring by descending degree (an upper bound on χ)."""
+def greedy_coloring(graph):
+    """Greedy (Δ+1)-coloring by descending degree (an upper bound on χ).
+
+    Nodes take the least color unused by their colored neighbors, in
+    descending degree order, ties in node order.  ``graph`` is a
+    networkx graph (returns a dict) or a
+    :class:`~repro.local.network.Network`, whose CSR is read instead
+    (returns a :class:`~repro.local.dense.NodeValues` with the same
+    colors).
+    """
+    if not isinstance(graph, nx.Graph):
+        return _greedy_coloring_csr(graph)
     assignment: dict = {}
     for node in sorted(graph.nodes, key=lambda v: -graph.degree(v)):
         used = {
@@ -84,6 +94,22 @@ def greedy_coloring(graph: nx.Graph) -> dict:
             color += 1
         assignment[node] = color
     return assignment
+
+
+def _greedy_coloring_csr(network):
+    from repro.local.dense import NodeValues
+
+    csr = network.csr
+    bounds, dest = csr.indptr.tolist(), csr.dest.tolist()
+    degrees = csr.degrees.tolist()
+    colors = [-1] * len(degrees)
+    for node in sorted(range(len(degrees)), key=degrees.__getitem__, reverse=True):
+        used = {colors[neighbor] for neighbor in dest[bounds[node] : bounds[node + 1]]}
+        color = 0
+        while color in used:
+            color += 1
+        colors[node] = color
+    return NodeValues(network, colors)
 
 
 def chromatic_lower_bound_from_independence(

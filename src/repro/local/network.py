@@ -16,13 +16,18 @@ them.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
 
 from repro.graphs.double_cover import COLORS
+from repro.local.dense import NodeValues
 from repro.utils import SimulationError
+
+#: Labels at or above this have more digits than ``str_rank`` scales.
+_LABEL_LIMIT = 10**18
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,23 @@ class VectorNetwork:
         return network.csr
 
 
+def _label_arrays(nodes: tuple) -> tuple | None:
+    if all(type(node) is int and 0 <= node < _LABEL_LIMIT for node in nodes):
+        return np.array(nodes, dtype=np.int64), None
+    if all(
+        type(node) is tuple
+        and len(node) == 2
+        and type(node[0]) is int
+        and type(node[1]) is int
+        and 0 <= node[0] < _LABEL_LIMIT
+        and 0 <= node[1] <= 9
+        for node in nodes
+    ):
+        pairs = np.array(nodes, dtype=np.int64).reshape(-1, 2)
+        return pairs[:, 0].copy(), pairs[:, 1].copy()
+    return None
+
+
 class Network:
     """A communication network with IDs and port numbering.
 
@@ -101,7 +123,7 @@ class Network:
     # Derived state is built on first use; until then the class default
     # stands in (a pickled network carries only what was built).
     _graph = _ids = _edges = _colors = _csr = _index = None
-    _ports = _port_of = None
+    _ports = _port_of = _labels = None
 
     def __init__(self, graph: nx.Graph, ids: dict | None = None) -> None:
         nodes = tuple(graph.nodes)
@@ -138,6 +160,7 @@ class Network:
         edges: np.ndarray,
         ids: np.ndarray,
         colors: np.ndarray | None = None,
+        labels: tuple | None = None,
     ) -> "Network":
         """A network on dense arrays, with its CSR built now.
 
@@ -145,12 +168,14 @@ class Network:
         ``(m, 2)`` dense endpoints of a simple graph in the order the
         graph adds them, ``ids`` the IDs 1..n by dense index and
         ``colors`` an optional side per node (0 white, 1 black, the
-        ``color`` attribute).
+        ``color`` attribute).  ``labels``, when given, is what
+        :meth:`label_arrays` returns for ``nodes``.
         """
         network = cls.__new__(cls)
         network.nodes = nodes
         network._edges = edges
         network._colors = colors
+        network._labels = labels
         network._rank = ids - 1
         network._csr = VectorNetwork.from_edges(nodes, edges, network._rank)
         network._max_degree = int(network._csr.degrees.max(initial=0))
@@ -163,6 +188,12 @@ class Network:
     @property
     def max_degree(self) -> int:
         return self._max_degree
+
+    @property
+    def id_rank(self) -> np.ndarray:
+        """Each node's position in ID order, by dense index (the order of
+        every CSR row)."""
+        return self._rank
 
     @property
     def graph(self) -> nx.Graph:
@@ -214,10 +245,21 @@ class Network:
             self._index = {node: i for i, node in enumerate(self.nodes)}
         return self._index
 
-    def node_colors(self) -> dict | None:
+    def label_arrays(self) -> tuple | None:
+        """``(values, sides)`` int arrays spelling the labels when every
+        node is an int ``v`` (``sides`` is ``None``) or every node an
+        ``(int v, int s)`` pair, with ``0 ≤ v < 10**18`` and ``0 ≤ s ≤ 9``:
+        the labels whose ``str`` and JSON order is arithmetic
+        (:func:`~repro.local.dense.str_rank`).  ``None`` for any other
+        labels."""
+        if self._labels is None:
+            self._labels = _label_arrays(self.nodes) or ()
+        return self._labels or None
+
+    def node_colors(self) -> Mapping | None:
         """Node → ``color`` attribute, or ``None`` when a node has none."""
         if self._colors is not None:
-            return dict(zip(self.nodes, map(COLORS.__getitem__, self._colors.tolist())))
+            return NodeValues(self, self._colors, COLORS.__getitem__)
         nodes = self.graph.nodes
         if any("color" not in nodes[node] for node in nodes):
             return None

@@ -13,7 +13,7 @@ used throughout the paper's proofs.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 from repro.local.network import Network
@@ -66,9 +66,14 @@ class NodeContext:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outputs plus the measured round complexity."""
+    """Outputs plus the measured round complexity.
 
-    outputs: dict
+    ``outputs`` maps each node to its output, in node order: a dict from
+    this engine, a read-only :class:`~repro.local.dense.NodeValues` over
+    the kernel's arrays from the vectorized one (equal to the dict).
+    """
+
+    outputs: Mapping
     rounds: int
 
 

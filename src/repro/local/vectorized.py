@@ -37,7 +37,14 @@ Kernel contract (what keeps parity cheap to reason about):
   never in :meth:`send_all` — so "halted at send time" and "halted after
   the send phase" coincide and the engine's drop mask is exact;
 * ``halted`` is mutated in place (the engine keeps no copy);
-* :meth:`outputs_all` returns Python-native values (use ``.tolist()``).
+* :meth:`outputs_all` returns the outputs in dense node order: an
+  array, whose entries :attr:`decode_output` turns into the per-node
+  outputs (absent: the entry itself), or a list of Python values.
+
+The engine hands those outputs on as a
+:class:`~repro.local.dense.NodeValues`, a read-only node → output map
+equal to the object engine's dict, so finalizers can read the arrays
+and only other callers pay for the Python values.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from collections.abc import Callable
 
 import numpy as np
 
+from repro.local.dense import NodeValues, dense_values
 from repro.local.network import Network, VectorNetwork
 from repro.local.simulator import RoundTrace, RunResult
 from repro.utils import SimulationError
@@ -67,6 +75,10 @@ class VectorizedAlgorithm:
     kernels that draw randomness must draw exactly the bits the per-node
     algorithm would, in node order, to stay byte-identical.
     """
+
+    #: Turns one :meth:`outputs_all` array entry (a Python scalar) into
+    #: the node's output; ``None`` when the entry is the output.
+    decode_output: Callable | None = None
 
     def __init__(
         self,
@@ -105,8 +117,9 @@ class VectorizedAlgorithm:
         happens here, by setting ``self.halted`` entries in place.
         """
 
-    def outputs_all(self) -> list:
-        """Per-node outputs in dense node order, as Python-native values."""
+    def outputs_all(self) -> np.ndarray | list:
+        """Per-node outputs in dense node order: an array (see
+        :attr:`decode_output`) or a list of Python values."""
         raise NotImplementedError
 
 
@@ -179,11 +192,17 @@ def run_vectorized(
                 )
             )
 
-    outputs = state.outputs_all()
-    return RunResult(outputs=dict(zip(vnet.nodes, outputs)), rounds=rounds)
+    outputs = NodeValues(network, state.outputs_all(), kernel_cls.decode_output)
+    return RunResult(outputs=outputs, rounds=rounds)
 
 
 _NO_PROPOSAL = np.iinfo(np.int64).max
+
+
+def matched_output(port: int) -> dict:
+    """A proposal-matching node's output for matched port ``port``
+    (−1: unmatched)."""
+    return {"matched": port if port >= 0 else None}
 
 
 class ProposalMatchingKernel(VectorizedAlgorithm):
@@ -201,14 +220,11 @@ class ProposalMatchingKernel(VectorizedAlgorithm):
     order — exactly the per-node algorithm's ``input_ports``.
     """
 
+    decode_output = staticmethod(matched_output)
+
     def __init__(self, vnet, per_node, shared, rng_for=None):
         super().__init__(vnet, per_node, shared, rng_for=rng_for)
-        color = per_node["color"]
-        self.white = np.fromiter(
-            (color[node] == "white" for node in vnet.nodes),
-            dtype=bool,
-            count=vnet.n,
-        )
+        self.white = dense_values(per_node["color"], vnet.nodes) == "white"
         input_ports = per_node.get("input_ports")
         if input_ports is None:
             is_input = np.ones(vnet.dest.shape[0], dtype=bool)
@@ -297,10 +313,7 @@ class ProposalMatchingKernel(VectorizedAlgorithm):
             self.halted[:] = True
 
     def outputs_all(self):
-        return [
-            {"matched": port if port >= 0 else None}
-            for port in self.matched.tolist()
-        ]
+        return self.matched
 
 
 class ClassSweepKernel(VectorizedAlgorithm):
@@ -321,12 +334,7 @@ class ClassSweepKernel(VectorizedAlgorithm):
 
     def __init__(self, vnet, per_node, shared, rng_for=None):
         super().__init__(vnet, per_node, shared, rng_for=rng_for)
-        mapping = per_node[self.classes_key]
-        self.cls = np.fromiter(
-            (mapping[node] for node in vnet.nodes),
-            dtype=np.int64,
-            count=vnet.n,
-        )
+        self.cls = dense_values(per_node[self.classes_key], vnet.nodes, np.int64)
         self.total_rounds = int(self.round_budget())
 
     def round_budget(self) -> int:
@@ -385,7 +393,7 @@ class ColorClassMISKernel(ClassSweepKernel):
         self.blocked[self.vnet.owner[slots]] = True
 
     def outputs_all(self):
-        return self.in_mis.tolist()
+        return self.in_mis
 
 
 class ColoringSweepKernel(ClassSweepKernel):
@@ -404,6 +412,7 @@ class ColoringSweepKernel(ClassSweepKernel):
     """
 
     classes_key = "initial_color"
+    decode_output = staticmethod(lambda color: color if color >= 0 else None)
 
     def __init__(self, vnet, per_node, shared, rng_for=None):
         super().__init__(vnet, per_node, shared, rng_for=rng_for)
@@ -436,9 +445,7 @@ class ColoringSweepKernel(ClassSweepKernel):
             self.seen[self.vnet.owner[slots], payloads] = True
 
     def outputs_all(self):
-        return [
-            color if color >= 0 else None for color in self.final.tolist()
-        ]
+        return self.final
 
 
 class RulingSweepKernel(ClassSweepKernel):
@@ -490,7 +497,7 @@ class RulingSweepKernel(ClassSweepKernel):
             np.maximum.at(self.pending, receivers, payloads - 1)
 
     def outputs_all(self):
-        return self.selected.tolist()
+        return self.selected
 
 
 class ArbdefectiveSweepKernel(ClassSweepKernel):
@@ -639,7 +646,7 @@ class LubyMISKernel(VectorizedAlgorithm):
             self.joining[:] = False
 
     def outputs_all(self):
-        return self.result.tolist()
+        return self.result
 
 
 register_kernel("matching:proposal", ProposalMatchingKernel)

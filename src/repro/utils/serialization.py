@@ -6,6 +6,10 @@ check results; this module flattens all of them into plain JSON with a
 so that two runs producing equal results produce byte-identical files —
 the property the parallel-vs-serial equality guarantees of the
 experiments runner rest on.
+
+A type may bring its own encoder (:func:`register_encoder`): the
+array-backed solution sets of :mod:`repro.local.dense` write their
+canonical JSON from numpy arrays, which this module never imports.
 """
 
 from __future__ import annotations
@@ -13,7 +17,24 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
+from collections.abc import Callable
 from pathlib import Path
+
+#: Type → (jsonable, dumps) of the types that encode themselves.
+_ENCODERS: dict[type, tuple[Callable, Callable]] = {}
+_PLACEHOLDER = re.compile(r'"\\u0000(\d+)\\u0000"')
+
+
+def register_encoder(cls: type, jsonable: Callable, dumps: Callable) -> None:
+    """Let instances of ``cls`` encode themselves.
+
+    ``jsonable(value)`` is what :func:`to_jsonable` returns for one, and
+    ``dumps(value)`` its compact canonical JSON text, which
+    :func:`canonical_dumps` splices into the document as is.  The two
+    must agree: ``dumps(value) == canonical_dumps(jsonable(value))``.
+    """
+    _ENCODERS[cls] = (jsonable, dumps)
 
 
 def to_jsonable(value):
@@ -21,19 +42,36 @@ def to_jsonable(value):
 
     Sets and frozensets become sorted lists (ordered by their canonical
     encoding, so mixed element types are fine); tuples become lists;
-    dataclasses become dicts; dict keys are stringified.
+    dataclasses become dicts; dict keys are stringified; a type given to
+    :func:`register_encoder` converts itself.
     """
+    return _to_jsonable(value, None)
+
+
+def _to_jsonable(value, fragments: list | None):
+    """:func:`to_jsonable`, except that with a ``fragments`` list each
+    self-encoding value is appended there as its text and stands in the
+    result as the placeholder string of its position."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return to_jsonable(dataclasses.asdict(value))
+        return _to_jsonable(dataclasses.asdict(value), fragments)
     if isinstance(value, dict):
-        return {_canonical_key(key): to_jsonable(item) for key, item in value.items()}
+        return {
+            _canonical_key(key): _to_jsonable(item, fragments)
+            for key, item in value.items()
+        }
     if isinstance(value, (set, frozenset)):
-        converted = [to_jsonable(item) for item in value]
+        converted = [_to_jsonable(item, fragments) for item in value]
         return sorted(converted, key=lambda item: json.dumps(item, sort_keys=True))
     if isinstance(value, (list, tuple)):
-        return [to_jsonable(item) for item in value]
+        return [_to_jsonable(item, fragments) for item in value]
+    encoder = _ENCODERS.get(type(value))
+    if encoder is not None:
+        if fragments is None:
+            return encoder[0](value)
+        fragments.append(encoder[1](value))
+        return f"\0{len(fragments) - 1}\0"
     return str(value)
 
 
@@ -54,10 +92,32 @@ def _canonical_key(key) -> str:
 
 def canonical_dumps(value, indent: int | None = None) -> str:
     """Serialize ``value`` deterministically (sorted keys, stable order)."""
+    if indent is None and _ENCODERS:
+        text = _spliced_dumps(value)
+        if text is not None:
+            return text
     separators = (",", ": ") if indent is not None else (",", ":")
     return json.dumps(
         to_jsonable(value), sort_keys=True, indent=indent, separators=separators
     )
+
+
+def _spliced_dumps(value) -> str | None:
+    """Compact canonical JSON in which each self-encoding value is first
+    a placeholder string, then its own text.  ``None`` when a string in
+    the data spells a placeholder too."""
+    fragments: list = []
+    text = json.dumps(
+        _to_jsonable(value, fragments), sort_keys=True, separators=(",", ":")
+    )
+    if not fragments:
+        return text
+    pieces = _PLACEHOLDER.split(text)
+    found = sorted(int(index) for index in pieces[1::2])
+    if found != list(range(len(fragments))):
+        return None
+    pieces[1::2] = [fragments[int(index)] for index in pieces[1::2]]
+    return "".join(pieces)
 
 
 def write_json(path: str | Path, value, indent: int | None = 2) -> Path:

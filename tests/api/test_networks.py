@@ -140,6 +140,45 @@ class TestArrayOnlyMatchingSolve:
         assert network._ports is None and network._port_of is None
 
 
+class TestArrayOnlySolvesThroughSerialization:
+    """Default vectorized solves, checks and ``canonical_json`` at
+    n = 20 000 read arrays only: no graph, port map or node index is
+    built.  Measured tracemalloc peaks per node (network build, solve and
+    serialization): matching 473 B, ruling set 564 B.  A tail of
+    per-element Python objects (set elements, n output dicts,
+    ``json.dumps`` keys) measures 745 B and 953 B, over both budgets.
+    Luby has no budget: its per-node ``random.Random`` costs ~2.8 KB a
+    node on its own."""
+
+    @pytest.mark.parametrize(
+        "problem,algorithm,budget",
+        [
+            ("matching:delta=4,x=0,y=1", "matching:proposal", 600),
+            ("mis:delta=4", "mis:luby", None),
+            ("ruling-set:delta=4,colors=1,beta=2", "ruling-set:class-sweep", 700),
+        ],
+    )
+    def test_no_networkx_and_memory_budget(self, problem, algorithm, budget):
+        spec = ProblemSpec.parse(problem)
+        tracemalloc.start()
+        try:
+            network = family_network(spec, n=20_000, seed=0)
+            report = api.solve(
+                spec, algorithm=algorithm, engine="vectorized", network=network, seed=0
+            )
+            text = report.canonical_json()
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.valid
+        assert text.startswith('{"algorithm":')
+        assert network._graph is None
+        assert network._ports is None and network._port_of is None
+        assert network._index is None
+        if budget is not None:
+            assert peak < budget * network.n
+
+
 @pytest.mark.fuzz
 class TestDefaultNetworksAtScale:
     @pytest.mark.parametrize("spec", _SPECS[:3])

@@ -1,12 +1,16 @@
 """Tests for the validity checkers, including failure injection."""
 
+import json
 import random
 import time
+from dataclasses import replace
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro import api
+from repro.api.types import SolveReport
 from repro.checkers import (
     CheckResult,
     check_arbdefective_colored_ruling_set,
@@ -20,9 +24,11 @@ from repro.checkers import (
     check_sinkless_orientation,
     check_x_maximal_y_matching,
 )
-from repro.graphs import cage, cycle, mark_bipartition
+from repro.graphs import cage, cycle, greedy_coloring, mark_bipartition
 from repro.local import Network
+from repro.local.dense import NodeSet, PairSet
 from repro.problems import maximal_matching_problem, pi_arbdefective
+from repro.utils.serialization import to_jsonable
 
 
 class TestMatchingChecker:
@@ -207,11 +213,42 @@ def _seeded_mis(graph, rng):
     return chosen
 
 
+def _node_set(network, members):
+    """``members`` as an array-backed :class:`NodeSet` over ``network``."""
+    index = network.index
+    return NodeSet(network, np.array([index[v] for v in members], dtype=np.int64))
+
+
+def _pair_set(network, matching):
+    """``matching`` as an array-backed :class:`PairSet`, or ``None`` when
+    an element is not two nodes of ``network``."""
+    index = network.index
+    rows = []
+    for edge in matching:
+        ends = tuple(edge)
+        if len(ends) != 2 or not all(end in index for end in ends):
+            return None
+        rows.append([index[end] for end in ends])
+    return PairSet(network, np.array(rows, dtype=np.int64).reshape(-1, 2))
+
+
+def _simple_network(graph):
+    """A :class:`Network` on ``graph``'s nodes and non-loop edges (LOCAL
+    networks have no self-loops)."""
+    simple = nx.Graph()
+    simple.add_nodes_from(graph.nodes)
+    simple.add_edges_from((u, v) for u, v in graph.edges if u != v)
+    return Network(graph=simple)
+
+
 class TestRulingSetReasonParity:
     @pytest.mark.parametrize("labels", sorted(_LABELS))
     @pytest.mark.parametrize("shape", sorted(_SHAPES))
     def test_matches_pairwise_reference(self, shape, labels):
         graph = nx.relabel_nodes(_SHAPES[shape](), _LABELS[labels])
+        # A Network reads the CSR; LOCAL networks have no self-loops.
+        simple = nx.number_of_selfloops(graph) == 0
+        network = Network(graph=graph) if simple else None
         for seed in range(3):
             rng = random.Random(seed)
             valid = _seeded_mis(graph, rng)
@@ -222,13 +259,28 @@ class TestRulingSetReasonParity:
             uncovered.discard(rng.choice(sorted(valid, key=str)))
             for beta in (1, 2):
                 for members in (valid, planted, uncovered):
+                    expected = _pairwise_check_ruling_set(graph, members, beta)
                     assert check_ruling_set(
                         graph, members, beta, independent=True
-                    ) == _pairwise_check_ruling_set(graph, members, beta)
+                    ) == expected
+                    if not simple:
+                        continue
+                    dense = _node_set(network, members)
+                    assert _pairwise_check_ruling_set(graph, dense, beta) == expected
+                    for target in (graph, network):
+                        for solution in (members, dense):
+                            assert check_ruling_set(
+                                target, solution, beta, independent=True
+                            ) == expected, (target, type(solution), beta)
             assert check_mis(graph, valid)
             if planted != valid:
                 assert "adjacent" in check_mis(graph, planted).reason
             assert not check_mis(graph, uncovered)
+            if simple:
+                assert check_mis(network, _node_set(network, valid))
+                assert check_mis(network, uncovered) == check_mis(
+                    graph, _node_set(network, uncovered)
+                )
 
 
 def _networkx_check_x_maximal_y_matching(graph, matching, x, y, delta=None):
@@ -325,6 +377,7 @@ class TestMatchingReasonParity:
         network = Network(graph=graph) if simple else None
         for seed in range(3):
             for name, matching in _planted_matchings(graph, random.Random(seed)).items():
+                dense = _pair_set(network, matching) if simple else None
                 for x, y, delta in ((0, 1, None), (1, 1, None), (0, 2, 4), (2, 1, 3)):
                     expected = _outcome(
                         _networkx_check_x_maximal_y_matching, graph, matching, x, y, delta
@@ -336,6 +389,17 @@ class TestMatchingReasonParity:
                         assert _outcome(
                             check_x_maximal_y_matching, network, matching, x, y, delta
                         ) == expected, (name, x, y, delta)
+                    if dense is None:
+                        continue
+                    # The set iterates in row order, so the first non-edge
+                    # is the reference's on the PairSet itself.
+                    expected = _outcome(
+                        _networkx_check_x_maximal_y_matching, graph, dense, x, y, delta
+                    )
+                    for target in (graph, network):
+                        assert _outcome(
+                            check_x_maximal_y_matching, target, dense, x, y, delta
+                        ) == expected, (name, x, y, delta, target)
 
     def test_valid_cover_matching_on_arrays(self):
         report = api.solve(
@@ -346,6 +410,101 @@ class TestMatchingReasonParity:
         )
         assert check_x_maximal_y_matching(network, report.outputs, x=0, y=1)
         assert network._graph is None
+
+
+# The grid's labels plus the two shapes whose order and digits the array
+# encoder computes by arithmetic: small ints from 0, (int, side) pairs.
+_ENCODER_LABELS = {
+    **_LABELS,
+    "int-from-0": lambda node: node,
+    "int-side": lambda node: (7 * node, node % 2),
+}
+
+
+def _report(outputs) -> SolveReport:
+    return SolveReport(
+        problem="p", family="f", algorithm="a", engine="", seed=0, n=0,
+        rounds=0, outputs=outputs, check=None, messages_delivered=0,
+        messages_dropped=0, peak_live_nodes=0,
+    )
+
+
+def _assert_same_encoding(plain, dense):
+    expected = _report(plain).canonical_json()
+    text = _report(dense).canonical_json()
+    assert text == expected
+    assert to_jsonable(dense) == to_jsonable(plain)
+    assert SolveReport.from_record(json.loads(text)).canonical_json() == text
+
+
+class TestArrayEncoderBytes:
+    """A report holding an array-backed set serializes to the bytes of the
+    same report holding the plain set."""
+
+    @pytest.mark.parametrize("labels", sorted(_ENCODER_LABELS))
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_same_bytes_as_plain_sets(self, shape, labels):
+        graph = nx.relabel_nodes(_SHAPES[shape](), _ENCODER_LABELS[labels])
+        network = _simple_network(graph)
+        for seed in range(2):
+            rng = random.Random(seed)
+            for members in (_seeded_mis(graph, rng), set(graph.nodes), set()):
+                _assert_same_encoding(members, _node_set(network, members))
+            for matching in _planted_matchings(graph, rng).values():
+                dense = _pair_set(network, matching)
+                if dense is not None:
+                    _assert_same_encoding(matching, dense)
+
+    def test_empty_outputs(self):
+        network = Network(graph=nx.path_graph(2))
+        for dense in (
+            NodeSet(network, np.empty(0, dtype=np.int64)),
+            PairSet(network, np.empty((0, 2), dtype=np.int64)),
+        ):
+            _assert_same_encoding(set(), dense)
+
+    @pytest.mark.parametrize("n", [8, 64, 2048])
+    @pytest.mark.parametrize(
+        "problem,algorithm",
+        [
+            ("matching:delta=4,x=0,y=1", "matching:proposal"),
+            ("maximal-matching:delta=3", "matching:proposal"),
+            ("mis:delta=4", "mis:luby"),
+            ("ruling-set:delta=3,colors=1,beta=2", "ruling-set:class-sweep"),
+        ],
+    )
+    def test_default_networks(self, problem, algorithm, n):
+        # Int and (int, side) labels, n across digit-count boundaries.
+        report = api.solve(problem, algorithm=algorithm, engine="vectorized", n=n, seed=2)
+        plain = set(report.outputs)
+        _assert_same_encoding(plain, report.outputs)
+        assert report.canonical_json() == replace(report, outputs=plain).canonical_json()
+
+    def test_pairs_sharing_a_first_end(self):
+        # "12" sorts before "1]": inside a pair list, a longer int whose
+        # digits extend another's sorts first.
+        graph = nx.star_graph([0, 1, 12, 123, 2, 20, 3])
+        network = Network(graph=graph)
+        star = {frozenset(edge) for edge in graph.edges}
+        _assert_same_encoding(star, _pair_set(network, star))
+
+
+class TestGreedyColoringOnCSR:
+    @pytest.mark.parametrize("labels", sorted(_LABELS))
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_equals_networkx_loop(self, shape, labels):
+        graph = nx.relabel_nodes(_SHAPES[shape](), _LABELS[labels])
+        network = _simple_network(graph)
+        coloring = greedy_coloring(network)
+        assert coloring == greedy_coloring(network.graph)
+        assert list(coloring) == list(network.nodes)
+        assert greedy_coloring(network.with_random_ids(seed=3)) == coloring
+
+    def test_default_network(self):
+        network = api.family_network(
+            api.ProblemSpec.parse("mis:delta=4"), n=500, seed=2
+        )
+        assert greedy_coloring(network) == greedy_coloring(network.graph)
 
 
 class TestCheckerScale:

@@ -73,6 +73,16 @@ def test_graphs_package_imports_without_numpy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+@pytest.mark.parametrize("module", ["repro.utils.serialization", "repro.roundelim.explore"])
+def test_exploration_path_imports_without_numpy(module):
+    # Serialization encodes array-backed solutions through encoders that
+    # repro.local.dense registers; their numpy code must stay out of the
+    # exploration path (numpy raised explore-d3's peak RSS by a third).
+    code = f"import sys, {module}; assert 'numpy' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 @pytest.mark.fuzz
 class TestReplayAtScale:
     """Records come from the replay, not from the installed networkx: a
