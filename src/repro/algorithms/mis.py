@@ -13,14 +13,15 @@ Two algorithms bracket the paper's §1.1 discussion of [AAPR23]:
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 
 import numpy as np
 
 from repro.api.registry import Algorithm, register_algorithm
 from repro.api.types import MessagePassingProgram, ProblemSpec
 from repro.graphs.chromatic import greedy_coloring
-from repro.local.dense import NodeSet, dense_values
+from repro.local.dense import NodeSet, dense_values, str_rank
+from repro.local.mersenne import RandomStreams, randrange63
 from repro.local.network import Network
 from repro.local.simulator import NodeAlgorithm
 
@@ -98,18 +99,25 @@ class _LubyNode(NodeAlgorithm):
         self.step += 1
 
 
-def luby_rng_streams(network: Network, seed: int) -> Callable:
+def luby_rng_streams(network: Network, seed: int) -> RandomStreams:
     """Per-node random sources for Luby's algorithm.
 
-    Derived from the seed and the sorted node order only — never from the
-    engine or execution order — so every backend draws identical bits.
+    Node ``v`` draws from ``random.Random(s_v)``, where ``s_v`` is the
+    ``r``-th ``randrange(2**63)`` of ``random.Random(seed)`` and ``r`` is
+    ``v``'s rank in ``str`` order.  The seeds depend on the seed and the
+    labels only — never on the engine or execution order — so both
+    engines draw identical bits: the object engine from each node's
+    generator, the kernel from :meth:`RandomStreams.draw`, which replays
+    the generators without building them.
     """
-    master = random.Random(seed)
-    sources = {
-        node: random.Random(master.randrange(2**63))
-        for node in sorted(network.nodes, key=str)
-    }
-    return lambda node: sources[node]
+    labels = network.label_arrays()
+    if labels is not None:
+        rank = str_rank(*labels)
+    else:
+        by_str = sorted(range(network.n), key=lambda i: str(network.nodes[i]))
+        rank = np.empty(network.n, dtype=np.int64)
+        rank[by_str] = np.arange(network.n)
+    return RandomStreams(network, randrange63(seed, network.n)[rank])
 
 
 def joined_nodes(network: Network, outputs: Mapping) -> NodeSet:

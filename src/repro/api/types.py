@@ -16,13 +16,13 @@ and the façade functions:
 
 from __future__ import annotations
 
-import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.api.errors import SpecError
 from repro.checkers import CheckResult
 from repro.formalism.problems import Problem
+from repro.local.mersenne import RandomStreams
 from repro.local.network import Network
 from repro.local.simulator import NodeAlgorithm, NodeContext
 from repro.problems.registry import build_problem, normalize_parameters, parse_spec
@@ -107,18 +107,19 @@ class MessagePassingProgram:
     every node knows.  The object engine hands node ``v``
     ``{**shared, **{key: values[v] for key, values in per_node.items()}}``
     as ``ctx.extra``; kernels read the maps whole.  ``rng_streams`` (for
-    randomized algorithms) maps ``(network, seed)`` to a per-node random
-    source in a way that depends only on the network and seed — never on
-    the engine — so every backend draws identical randomness.
+    randomized algorithms) maps ``(network, seed)`` to the one
+    :class:`~repro.local.mersenne.RandomStreams` both engines read: the
+    object engine calls it for each node's ``random.Random``, and the
+    kernel draws the same values as arrays.  It depends only on the
+    network and seed — never on the engine — so every backend draws
+    identical randomness.
     """
 
     factory: Callable[[NodeContext], NodeAlgorithm]
     kernel: str | None = None
     per_node: dict[str, dict] = field(default_factory=dict)
     shared: dict[str, object] = field(default_factory=dict)
-    rng_streams: (
-        Callable[[Network, int], Callable[[object], random.Random]] | None
-    ) = None
+    rng_streams: Callable[[Network, int], RandomStreams] | None = None
 
 
 @dataclass(frozen=True)

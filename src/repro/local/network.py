@@ -62,11 +62,18 @@ class VectorNetwork:
     ) -> "VectorNetwork":
         """The CSR of the simple graph on dense ``edges`` (an ``(m, 2)``
         array), each row ordered by ``rank`` (the nodes' ID order) — the
-        one place port order is defined."""
+        one place port order is defined.
+
+        Half-edges sort by one key, ``owner · n + rank[dest]`` (below
+        2**63 for n < 3·10^9), in a stable sort: the order of
+        ``np.lexsort((rank[dest], owner))``, ties included, at a third
+        of its time.  (The default introsort is faster still, but pages
+        in ~0.4 MB more of numpy's sorting code.)
+        """
         n, m = len(nodes), edges.shape[0]
         owner = np.concatenate((edges[:, 0], edges[:, 1]))
         dest = np.concatenate((edges[:, 1], edges[:, 0]))
-        order = np.lexsort((rank[dest], owner))
+        order = np.argsort(owner * n + rank[dest], kind="stable")
         # Half-edge h's twin is h ± m; reverse maps each sorted position
         # to the sorted position of its twin.
         position = np.empty_like(order)

@@ -70,10 +70,12 @@ class VectorizedAlgorithm:
 
     ``per_node`` (key → node → value map) and ``shared`` (key → value)
     are the program's knowledge declaration, under the keys its per-node
-    form reads from ``ctx.extra``.  ``rng_for`` is the per-node
-    random-source mapping for randomized kernels (``None`` otherwise);
-    kernels that draw randomness must draw exactly the bits the per-node
-    algorithm would, in node order, to stay byte-identical.
+    form reads from ``ctx.extra``.  ``rng_for`` is the program's random
+    streams (``MessagePassingProgram.rng_streams`` applied to the network
+    and seed; ``None`` for deterministic programs).  The object engine
+    calls it for each node's ``random.Random``; a kernel reads the same
+    draws as arrays (:meth:`~repro.local.mersenne.RandomStreams.draw`),
+    which keeps it byte-identical without a generator per node.
     """
 
     #: Turns one :meth:`outputs_all` array entry (a Python scalar) into
@@ -594,16 +596,15 @@ class LubyMISKernel(VectorizedAlgorithm):
     (vacuously, above none) moves to "joining"; (1) joiners announce,
     halt in the MIS, and their still-active neighbors halt out.
 
-    The one deliberately scalar piece is the draw itself: byte parity
-    requires the exact Mersenne Twister stream each per-node
-    ``random.Random`` would produce, so phase-0 draws loop over live
-    nodes in dense order (one ``random()`` call per node per phase, like
-    the object engine) while everything else stays whole-array.
+    A node live in phase ``p`` has drawn once in every phase before, so
+    its value is call ``p`` of its ``random.Random``: ``rng_for`` (the
+    program's :class:`~repro.local.mersenne.RandomStreams`) hands the
+    live nodes' values over as one array, replayed without building a
+    generator per node.
     """
 
     def __init__(self, vnet, per_node, shared, rng_for=None):
         super().__init__(vnet, per_node, shared, rng_for=rng_for)
-        self.rngs = [rng_for(node) for node in vnet.nodes]
         self.values = np.zeros(vnet.n, dtype=np.float64)
         self.joining = np.zeros(vnet.n, dtype=bool)
         self.result = np.zeros(vnet.n, dtype=bool)
@@ -620,8 +621,7 @@ class LubyMISKernel(VectorizedAlgorithm):
         vnet = self.vnet
         if (rnd - 1) % 2 == 0:
             active = np.flatnonzero(~self.halted)
-            rngs = self.rngs
-            self.values[active] = [rngs[i].random() for i in active.tolist()]
+            self.values[active] = self.rng_for.draw((rnd - 1) // 2, active)
             edges = np.flatnonzero(~self.halted[vnet.owner])
             return edges, self.values[vnet.owner[edges]]
         edges = np.flatnonzero(self.joining[vnet.owner])

@@ -6,6 +6,7 @@ nodes by ``str`` and whose ports follow neighbor IDs.
 """
 
 import pickle
+import random
 import tracemalloc
 
 import networkx as nx
@@ -143,29 +144,40 @@ class TestArrayOnlyMatchingSolve:
 class TestArrayOnlySolvesThroughSerialization:
     """Default vectorized solves, checks and ``canonical_json`` at
     n = 20 000 read arrays only: no graph, port map or node index is
-    built.  Measured tracemalloc peaks per node (network build, solve and
-    serialization): matching 473 B, ruling set 564 B.  A tail of
-    per-element Python objects (set elements, n output dicts,
-    ``json.dumps`` keys) measures 745 B and 953 B, over both budgets.
-    Luby has no budget: its per-node ``random.Random`` costs ~2.8 KB a
-    node on its own."""
+    built, and no ``random.Random`` beyond Luby's one master generator.
+    Measured tracemalloc peaks per node (network build, solve and
+    serialization): matching 448 B, ruling set 564 B, Luby 1,403 B.  A
+    tail of per-element Python objects (set elements, n output dicts,
+    ``json.dumps`` keys) measures 745 B and 953 B, over the first two
+    budgets.  Luby's peak is mostly one 8,192-lane chunk of replayed
+    Mersenne Twister states (20 MB, ~1 KB a node here); one
+    ``random.Random`` per node measured 3,289 B a node."""
 
     @pytest.mark.parametrize(
         "problem,algorithm,budget",
         [
             ("matching:delta=4,x=0,y=1", "matching:proposal", 600),
-            ("mis:delta=4", "mis:luby", None),
+            ("mis:delta=4", "mis:luby", 1750),
             ("ruling-set:delta=4,colors=1,beta=2", "ruling-set:class-sweep", 700),
         ],
     )
-    def test_no_networkx_and_memory_budget(self, problem, algorithm, budget):
+    def test_no_networkx_and_memory_budget(self, problem, algorithm, budget, monkeypatch):
         spec = ProblemSpec.parse(problem)
+        constructed = []
+        construct = random.Random.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(args)
+            construct(self, *args, **kwargs)
+
         tracemalloc.start()
         try:
             network = family_network(spec, n=20_000, seed=0)
+            monkeypatch.setattr(random.Random, "__init__", counting_init)
             report = api.solve(
                 spec, algorithm=algorithm, engine="vectorized", network=network, seed=0
             )
+            monkeypatch.undo()
             text = report.canonical_json()
             _current, peak = tracemalloc.get_traced_memory()
         finally:
@@ -175,8 +187,8 @@ class TestArrayOnlySolvesThroughSerialization:
         assert network._graph is None
         assert network._ports is None and network._port_of is None
         assert network._index is None
-        if budget is not None:
-            assert peak < budget * network.n
+        assert len(constructed) <= 1
+        assert peak < budget * network.n
 
 
 @pytest.mark.fuzz

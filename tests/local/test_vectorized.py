@@ -121,6 +121,35 @@ PORT_MAP_NETWORKS = {
 }
 
 
+#: CSR inputs for the sort-order test: the port-map networks plus default
+#: networks at a larger n, with default and with random IDs.
+CSR_NETWORKS = {
+    **PORT_MAP_NETWORKS,
+    "default-regular": lambda: api.family_network(
+        api.ProblemSpec.parse("mis:delta=4"), n=2000, seed=2
+    ),
+    "default-cover-2000": lambda: api.family_network(
+        api.ProblemSpec.parse("matching:delta=4,x=0,y=1"), n=2000, seed=2
+    ),
+    "default-random-ids": lambda: api.family_network(
+        api.ProblemSpec.parse("mis:delta=3"), n=500, seed=4
+    ).with_random_ids(seed=5),
+}
+
+
+def _lexsort_csr(edges: np.ndarray, rank: np.ndarray) -> tuple:
+    """``(owner, dest, reverse)`` with the half-edges ordered by one
+    ``np.lexsort`` on (owner, rank of dest): the reference order."""
+    m = edges.shape[0]
+    owner = np.concatenate((edges[:, 0], edges[:, 1]))
+    dest = np.concatenate((edges[:, 1], edges[:, 0]))
+    order = np.lexsort((rank[dest], owner))
+    position = np.empty_like(order)
+    position[order] = np.arange(2 * m)
+    twin = np.concatenate((np.arange(m, 2 * m), np.arange(m)))
+    return owner[order], dest[order], position[twin[order]]
+
+
 class TestVectorNetwork:
     @pytest.mark.parametrize(
         "build", PORT_MAP_NETWORKS.values(), ids=PORT_MAP_NETWORKS.keys()
@@ -146,6 +175,31 @@ class TestVectorNetwork:
                 # (neighbor, back port) — scattering to it IS delivery.
                 back = network.port_to(neighbor, node)
                 assert vnet.reverse[k] == vnet.indptr[index[neighbor]] + back - 1
+
+    @pytest.mark.parametrize("build", CSR_NETWORKS.values(), ids=CSR_NETWORKS.keys())
+    def test_one_key_sort_equals_lexsort(self, build):
+        network = build()
+        edges = network._edges  # the arrays a default network is built from
+        if edges is None:
+            index = network.index
+            edges = np.array(
+                [[index[u], index[v]] for u, v in network.graph.edges], dtype=np.int64
+            ).reshape(-1, 2)
+        expected = _lexsort_csr(edges, network.id_rank)
+        for vnet in (network.csr, VectorNetwork.from_edges(network.nodes, edges, network.id_rank)):
+            for got, want in zip((vnet.owner, vnet.dest, vnet.reverse), expected):
+                np.testing.assert_array_equal(got, want)
+
+    def test_one_key_sort_equals_lexsort_with_a_self_loop(self):
+        # The checkers build a bare graph's CSR, where a self-loop counts
+        # twice; its two half-edges tie on the sort key.
+        graph = cycle(6)
+        graph.add_edges_from([(2, 2), (4, 4)])
+        edges = np.array(list(graph.edges), dtype=np.int64)
+        rank = np.arange(6)[::-1].copy()
+        vnet = VectorNetwork.from_edges(tuple(graph.nodes), edges, rank)
+        for got, want in zip((vnet.owner, vnet.dest, vnet.reverse), _lexsort_csr(edges, rank)):
+            np.testing.assert_array_equal(got, want)
 
     def test_of_is_memoized_per_network(self):
         network = Network(graph=cycle(5))
