@@ -26,15 +26,9 @@ Dual mode:
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-import time
-from pathlib import Path
-
+import harness
 from repro import api
 from repro.api.engines import resolve_engine
-from repro.utils.serialization import canonical_dumps
 from repro.utils.tables import print_table
 
 SCHEMA = "repro.bench/engines/v1"
@@ -65,14 +59,14 @@ WORKLOADS: dict[str, tuple[tuple[int, tuple[str, ...]], ...]] = {
     ),
 }
 
-#: A single run above this duration is measured once — repeating a
-#: multi-second workload adds runtime, not precision.
-HEAVY_CUTOFF_SECONDS = 2.0
-
-#: Speedups whose slower side runs faster than this are reported but
-#: excluded from the baseline regression gate: millisecond-scale ratios
-#: are too noisy on shared CI runners to gate on.
-MIN_GATE_SECONDS = 0.05
+#: Rows are keyed by size; the object engine is the slow side, and the
+#: vectorized-only sizes carry no speedup, so the gate skips them.
+GATE = harness.SpeedupGate(
+    speedup=SPEEDUP_KEY,
+    key=lambda record: record["n"],
+    slow_seconds=lambda record: record["seconds"]["object"],
+    label=lambda record: f"n={record['n']} {SPEEDUP_KEY}:",
+)
 
 
 def _prepared(n: int):
@@ -82,18 +76,6 @@ def _prepared(n: int):
     network = algorithm.default_network(spec, n=n, seed=0)
     program = algorithm.program(network, spec, {})
     return network, program
-
-
-def _best_of(engine, network, program, repeats: int):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = engine.run(network, program, seed=0)
-        best = min(best, time.perf_counter() - start)
-        if best > HEAVY_CUTOFF_SECONDS:
-            break
-    return best, result
 
 
 def measure(mode: str, repeats: int = 3) -> dict:
@@ -111,7 +93,9 @@ def measure(mode: str, repeats: int = 3) -> dict:
         for name in names:
             engine = resolve_engine(name)
             engine.run(network, program, seed=0)  # warm: compile CSR caches
-            seconds[name], result = _best_of(engine, network, program, repeats)
+            seconds[name], result = harness.best_of(
+                lambda: engine.run(network, program, seed=0), repeats
+            )
             if reference is None:
                 reference = result
             elif (
@@ -159,36 +143,6 @@ def criterion_failures(payload: dict) -> list[str]:
         f"criterion: vectorized only {value:.2f}x vs object; "
         f"criterion is {CRITERION_SPEEDUP}x"
     ]
-
-
-def compare_with_baseline(
-    payload: dict, baseline: dict, tolerance: float
-) -> list[str]:
-    """Regression messages for every speedup that dropped more than
-    ``tolerance`` (fraction) below the baseline's.
-
-    Millisecond-scale rows (the object engine under ``MIN_GATE_SECONDS``)
-    are skipped — their ratios are dominated by scheduler noise on shared
-    runners.
-    """
-    baseline_records = {
-        record["n"]: record for record in baseline.get("workloads", ())
-    }
-    problems = []
-    for record in payload["workloads"]:
-        expected = baseline_records.get(record["n"], {}).get(SPEEDUP_KEY)
-        measured = record.get(SPEEDUP_KEY)
-        if expected is None or measured is None:
-            continue
-        if record["seconds"]["object"] < MIN_GATE_SECONDS:
-            continue
-        floor = expected * (1.0 - tolerance)
-        if measured < floor:
-            problems.append(
-                f"n={record['n']} {SPEEDUP_KEY}: {measured:.2f}x < "
-                f"{floor:.2f}x (baseline {expected:.2f}x - {tolerance:.0%})"
-            )
-    return problems
 
 
 def _print(payload: dict) -> None:
@@ -249,42 +203,14 @@ def test_engines_byte_identical_end_to_end():
 # --------------------------------------------------------------------------
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true", help="fast workload subset (the CI gate)"
-    )
-    parser.add_argument(
-        "--out", default="BENCH_engines.json", help="result JSON path"
-    )
-    parser.add_argument(
-        "--baseline", default=None, help="baseline JSON to gate regressions against"
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed fractional speedup regression vs baseline (default 0.25)",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=3, help="best-of repeats per engine"
-    )
-    args = parser.parse_args(argv)
-
-    mode = "smoke" if args.smoke else "full"
-    payload = measure(mode, repeats=args.repeats)
-    _print(payload)
-    Path(args.out).write_text(canonical_dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}", file=sys.stderr)
-
-    failures = criterion_failures(payload)
-    if args.baseline:
-        baseline = json.loads(Path(args.baseline).read_text())
-        failures.extend(compare_with_baseline(payload, baseline, args.tolerance))
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(
+        harness.gated_main(
+            doc=__doc__,
+            out="BENCH_engines.json",
+            measure=measure,
+            show=_print,
+            failures=criterion_failures,
+            gate=GATE,
+        )
+    )

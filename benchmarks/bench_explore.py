@@ -26,8 +26,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from pathlib import Path
 
+import harness
 from repro.problems import pi_matching, pi_ruling
 from repro.roundelim.explore import (
     ExplorationLimits,
@@ -36,7 +36,6 @@ from repro.roundelim.explore import (
     explore,
     reports_identical,
 )
-from repro.utils.serialization import canonical_dumps
 from repro.utils.tables import print_table
 
 SCHEMA = "repro.bench/explore/v1"
@@ -120,12 +119,9 @@ def measure(mode: str, jobs: int = 1) -> dict:
 
 
 def criterion_speedup(payload: dict) -> float:
-    for record in payload["workloads"]:
-        if record["workload"] == CRITERION_WORKLOAD:
-            return record["speedup"]
-    raise AssertionError(
-        f"criterion workload {CRITERION_WORKLOAD!r} missing from payload"
-    )
+    return harness.criterion_row(
+        payload, lambda record: record["workload"], CRITERION_WORKLOAD
+    )["speedup"]
 
 
 def check_determinism(jobs: int) -> None:
@@ -175,8 +171,7 @@ def main(argv: list[str] | None = None) -> int:
 
     payload = measure("smoke" if args.smoke else "full", jobs=args.jobs)
     if args.out:
-        Path(args.out).write_text(canonical_dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
+        harness.write_payload(payload, args.out)
     print_table(
         ["workload", "visited", "cold s", "warm s", "speedup"],
         [

@@ -22,15 +22,9 @@ Dual mode:
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-import time
-from pathlib import Path
-
+import harness
 from repro.problems import maximal_matching_problem, pi_matching, pi_ruling
 from repro.roundelim import round_elimination
-from repro.utils.serialization import canonical_dumps
 from repro.utils.tables import print_table
 
 SCHEMA = "repro.bench/roundelim/v1"
@@ -57,27 +51,14 @@ WORKLOADS = {
     ),
 }
 
-
-#: A single run above this duration is measured once — repeating a
-#: multi-second workload adds runtime, not precision.
-HEAVY_CUTOFF_SECONDS = 2.0
-
-#: Workloads whose reference side runs faster than this are reported but
-#: excluded from the baseline regression gate: millisecond-scale ratios
-#: are too noisy on shared CI runners to gate on.
-MIN_GATE_SECONDS = 0.05
-
-
-def _best_of(problem, engine: str, repeats: int) -> tuple[float, object]:
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = round_elimination(problem, engine=engine)
-        best = min(best, time.perf_counter() - start)
-        if best > HEAVY_CUTOFF_SECONDS:
-            break
-    return best, result
+#: Rows are keyed by (workload, Δ); the reference operators are the slow
+#: side.
+GATE = harness.SpeedupGate(
+    speedup="speedup",
+    key=lambda record: (record["workload"], record["n"]),
+    slow_seconds=lambda record: record["reference_seconds"],
+    label=lambda record: f"{record['workload']} n={record['n']}: speedup",
+)
 
 
 def measure(mode: str, repeats: int = 3) -> dict:
@@ -90,8 +71,12 @@ def measure(mode: str, repeats: int = 3) -> dict:
     records = []
     for workload, n, factory in WORKLOADS[mode]:
         problem = factory()
-        reference_seconds, reference_out = _best_of(problem, "reference", repeats)
-        kernel_seconds, kernel_out = _best_of(problem, "kernel", repeats)
+        reference_seconds, reference_out = harness.best_of(
+            lambda: round_elimination(problem, engine="reference"), repeats
+        )
+        kernel_seconds, kernel_out = harness.best_of(
+            lambda: round_elimination(problem, engine="kernel"), repeats
+        )
         if reference_out != kernel_out:
             raise AssertionError(
                 f"engine outputs differ on {workload} n={n} — benchmark void"
@@ -118,39 +103,14 @@ def measure(mode: str, repeats: int = 3) -> dict:
 
 
 def criterion_speedup(payload: dict) -> float:
-    for record in payload["workloads"]:
-        if (record["workload"], record["n"]) == CRITERION_WORKLOAD:
-            return record["speedup"]
-    raise AssertionError(
-        f"criterion workload {CRITERION_WORKLOAD} missing from payload"
-    )
+    return harness.criterion_row(payload, GATE.key, CRITERION_WORKLOAD)["speedup"]
 
 
-def compare_with_baseline(payload: dict, baseline: dict, tolerance: float) -> list[str]:
-    """Regression messages for every workload whose speedup dropped more
-    than ``tolerance`` (fraction) below the baseline's.
-
-    Millisecond-scale workloads (reference side under
-    ``MIN_GATE_SECONDS``) are skipped — their ratios are dominated by
-    scheduler noise on shared runners.
-    """
-    baseline_speedups = {
-        (record["workload"], record["n"]): record["speedup"]
-        for record in baseline.get("workloads", ())
-    }
-    problems = []
-    for record in payload["workloads"]:
-        key = (record["workload"], record["n"])
-        expected = baseline_speedups.get(key)
-        if expected is None or record["reference_seconds"] < MIN_GATE_SECONDS:
-            continue
-        floor = expected * (1.0 - tolerance)
-        if record["speedup"] < floor:
-            problems.append(
-                f"{key[0]} n={key[1]}: speedup {record['speedup']:.2f}x < "
-                f"{floor:.2f}x (baseline {expected:.2f}x - {tolerance:.0%})"
-            )
-    return problems
+def criterion_failures(payload: dict) -> list[str]:
+    speedup = criterion_speedup(payload)
+    if speedup >= CRITERION_SPEEDUP:
+        return []
+    return [f"criterion: Δ=4 matching speedup {speedup:.2f}x < {CRITERION_SPEEDUP}x"]
 
 
 def _print(payload: dict) -> None:
@@ -201,47 +161,14 @@ def test_engines_identical_on_ruling_family():
 # --------------------------------------------------------------------------
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true", help="fast workload subset (the CI gate)"
-    )
-    parser.add_argument(
-        "--out", default="BENCH_roundelim.json", help="result JSON path"
-    )
-    parser.add_argument(
-        "--baseline", default=None, help="baseline JSON to gate regressions against"
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed fractional speedup regression vs baseline (default 0.25)",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=3, help="best-of repeats per engine"
-    )
-    args = parser.parse_args(argv)
-
-    mode = "smoke" if args.smoke else "full"
-    payload = measure(mode, repeats=args.repeats)
-    _print(payload)
-    Path(args.out).write_text(canonical_dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}", file=sys.stderr)
-
-    failures = []
-    speedup = criterion_speedup(payload)
-    if speedup < CRITERION_SPEEDUP:
-        failures.append(
-            f"criterion: Δ=4 matching speedup {speedup:.2f}x < {CRITERION_SPEEDUP}x"
-        )
-    if args.baseline:
-        baseline = json.loads(Path(args.baseline).read_text())
-        failures.extend(compare_with_baseline(payload, baseline, args.tolerance))
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(
+        harness.gated_main(
+            doc=__doc__,
+            out="BENCH_roundelim.json",
+            measure=measure,
+            show=_print,
+            failures=criterion_failures,
+            gate=GATE,
+        )
+    )

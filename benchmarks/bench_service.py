@@ -26,8 +26,8 @@ import statistics
 import sys
 import threading
 import time
-from pathlib import Path
 
+import harness
 from repro import api
 from repro.service import (
     ServiceClient,
@@ -208,8 +208,7 @@ def main(argv: list[str] | None = None) -> int:
         payload = measure(requests=args.requests, clients=args.clients)
 
     if args.out:
-        Path(args.out).write_text(canonical_dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
+        harness.write_payload(payload, args.out)
     print_table(
         ["phase", "p50 ms", "p99 ms", "mean ms"],
         [

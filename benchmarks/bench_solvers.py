@@ -34,12 +34,9 @@ Dual mode:
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
-from pathlib import Path
 
+import harness
 from repro.core.lift import lift
 from repro.core.zero_round import zero_round_solvable
 from repro.formalism.problems import problem_from_lines
@@ -51,7 +48,6 @@ from repro.solvers.csp import CSP_BUDGET_UNIT
 from repro.solvers.sat import SatLabelingSolver
 from repro.solvers.sat.solver import CdclSolver
 from repro.utils import SolverLimitError
-from repro.utils.serialization import canonical_dumps
 from repro.utils.tables import print_table
 
 SCHEMA = "repro.bench/solvers/v1"
@@ -84,32 +80,19 @@ WORKLOADS = {
 FRONTIER_DELTA = 5
 FRONTIER_CSP_BUDGET = 50_000
 
-#: A single run above this duration is measured once — repeating a
-#: multi-second workload adds runtime, not precision.
-HEAVY_CUTOFF_SECONDS = 2.0
-
-#: Workloads whose CSP side runs faster than this are reported but
-#: excluded from the baseline regression gate: millisecond-scale ratios
-#: are too noisy on shared CI runners to gate on.
-MIN_GATE_SECONDS = 0.05
+#: Rows are keyed by (workload, Δ); the CSP backtracker is the slow side.
+GATE = harness.SpeedupGate(
+    speedup="speedup",
+    key=lambda record: (record["workload"], record["n"]),
+    slow_seconds=lambda record: record["csp_seconds"],
+    label=lambda record: f"{record['workload']} Δ={record['n']}: speedup",
+)
 
 
 def _gate_instance(delta: int, factory=maximal_matching_problem):
     problem = factory(delta)
     support = _smallest_biregular_support(problem.white_arity, problem.black_arity)
     return support, problem
-
-
-def _best_of(support, problem, backend: str, repeats: int) -> tuple[float, bool]:
-    best = float("inf")
-    verdict = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        verdict = zero_round_solvable(support, problem, backend=backend)
-        best = min(best, time.perf_counter() - start)
-        if best > HEAVY_CUTOFF_SECONDS:
-            break
-    return best, verdict
 
 
 def _symmetric_problem():
@@ -222,8 +205,12 @@ def measure(mode: str, repeats: int = 3) -> dict:
     records = []
     for workload, delta, factory in WORKLOADS[mode]:
         support, problem = _gate_instance(delta, lambda d=delta: factory())
-        csp_seconds, csp_verdict = _best_of(support, problem, "csp", repeats)
-        sat_seconds, sat_verdict = _best_of(support, problem, "sat", repeats)
+        csp_seconds, csp_verdict = harness.best_of(
+            lambda: zero_round_solvable(support, problem, backend="csp"), repeats
+        )
+        sat_seconds, sat_verdict = harness.best_of(
+            lambda: zero_round_solvable(support, problem, backend="sat"), repeats
+        )
         if csp_verdict != sat_verdict:
             raise AssertionError(
                 f"backend verdicts differ on {workload} Δ={delta} — "
@@ -253,47 +240,11 @@ def measure(mode: str, repeats: int = 3) -> dict:
     }
 
 
-def criterion_speedup(payload: dict) -> float:
-    for record in payload["workloads"]:
-        if (record["workload"], record["n"]) == CRITERION_WORKLOAD:
-            return record["speedup"]
-    raise AssertionError(
-        f"criterion workload {CRITERION_WORKLOAD} missing from payload"
-    )
-
-
-def compare_with_baseline(payload: dict, baseline: dict, tolerance: float) -> list[str]:
-    """Regression messages for every workload whose speedup dropped more
-    than ``tolerance`` (fraction) below the baseline's.
-
-    Millisecond-scale workloads (CSP side under ``MIN_GATE_SECONDS``)
-    are skipped — their ratios are dominated by scheduler noise on
-    shared runners.
-    """
-    baseline_speedups = {
-        (record["workload"], record["n"]): record["speedup"]
-        for record in baseline.get("workloads", ())
-    }
-    problems = []
-    for record in payload["workloads"]:
-        key = (record["workload"], record["n"])
-        expected = baseline_speedups.get(key)
-        if expected is None or record["csp_seconds"] < MIN_GATE_SECONDS:
-            continue
-        floor = expected * (1.0 - tolerance)
-        if record["speedup"] < floor:
-            problems.append(
-                f"{key[0]} Δ={key[1]}: speedup {record['speedup']:.2f}x < "
-                f"{floor:.2f}x (baseline {expected:.2f}x - {tolerance:.0%})"
-            )
-    return problems
-
-
 def gate_failures(payload: dict) -> list[str]:
     """Criterion + qualitative-block failures (baseline gating is
     separate — it needs the baseline file)."""
     failures = []
-    speedup = criterion_speedup(payload)
+    speedup = harness.criterion_row(payload, GATE.key, CRITERION_WORKLOAD)["speedup"]
     if speedup < CRITERION_SPEEDUP:
         failures.append(
             f"criterion: Δ=4 maximal-matching speedup {speedup:.2f}x < "
@@ -384,42 +335,14 @@ def test_symmetry_breaking_reduces_enumerated_states():
 # --------------------------------------------------------------------------
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true", help="fast workload subset (the CI gate)"
-    )
-    parser.add_argument(
-        "--out", default="BENCH_solvers.json", help="result JSON path"
-    )
-    parser.add_argument(
-        "--baseline", default=None, help="baseline JSON to gate regressions against"
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed fractional speedup regression vs baseline (default 0.25)",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=3, help="best-of repeats per backend"
-    )
-    args = parser.parse_args(argv)
-
-    mode = "smoke" if args.smoke else "full"
-    payload = measure(mode, repeats=args.repeats)
-    _print(payload)
-    Path(args.out).write_text(canonical_dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}", file=sys.stderr)
-
-    failures = gate_failures(payload)
-    if args.baseline:
-        baseline = json.loads(Path(args.baseline).read_text())
-        failures.extend(compare_with_baseline(payload, baseline, args.tolerance))
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(
+        harness.gated_main(
+            doc=__doc__,
+            out="BENCH_solvers.json",
+            measure=measure,
+            show=_print,
+            failures=gate_failures,
+            gate=GATE,
+        )
+    )

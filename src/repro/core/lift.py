@@ -34,7 +34,7 @@ import networkx as nx
 from repro.formalism.configurations import Configuration, Label
 from repro.formalism.constraints import Constraint
 from repro.formalism.diagrams import black_diagram, right_closed_subsets, right_closure
-from repro.formalism.labels import set_label, set_label_members
+from repro.formalism.labels import set_label
 from repro.formalism.problems import Problem
 from repro.utils import InvalidParameterError
 from repro.utils.multiset import all_multisets
@@ -196,10 +196,3 @@ def lift(problem: Problem, delta: int, rank: int) -> LiftedProblem:
         label_sets=label_sets,
         _diagram=diagram,
     )
-
-
-def decode_lift_solution(
-    labeling: dict, lifted: LiftedProblem
-) -> dict:
-    """Decode a string-labeled lift solution back to label-set values."""
-    return {key: set_label_members(value) for key, value in labeling.items()}

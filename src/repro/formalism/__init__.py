@@ -22,7 +22,6 @@ from repro.formalism.diagrams import (
     right_closed_subsets,
     right_closure,
     successors_closure,
-    white_diagram,
 )
 from repro.formalism.encoding import (
     ConstraintTable,
@@ -99,5 +98,4 @@ __all__ = [
     "set_label",
     "set_label_members",
     "successors_closure",
-    "white_diagram",
 ]

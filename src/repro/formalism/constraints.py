@@ -160,14 +160,6 @@ class Constraint:
         return f"Constraint({len(self._configs)} configs, size={self._size})"
 
 
-def partial_is_extendable(
-    constraint: Constraint, partial: Iterable[Label]
-) -> bool:
-    """Standalone convenience wrapper around :meth:`Constraint.allows_partial`."""
-    counter = Counter(partial)
-    return constraint.allows_partial(counter, sum(counter.values()))
-
-
 def sub_multiset_closure(constraint: Constraint) -> frozenset[tuple[Label, ...]]:
     """All canonical sub-multisets of allowed configurations.
 

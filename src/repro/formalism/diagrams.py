@@ -73,11 +73,6 @@ def black_diagram(problem: Problem) -> nx.DiGraph:
     return diagram(problem.alphabet, problem.black)
 
 
-def white_diagram(problem: Problem) -> nx.DiGraph:
-    """The diagram of a problem w.r.t. its white constraint."""
-    return diagram(problem.alphabet, problem.white)
-
-
 def diagram_reduction(graph: nx.DiGraph) -> nx.DiGraph:
     """Transitive reduction after collapsing strength-equivalent labels.
 

@@ -11,10 +11,10 @@ bipartitely on the incidence graph).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from repro.formalism.configurations import Configuration, Label
+from repro.formalism.configurations import Label
 from repro.formalism.constraints import Constraint
 from repro.utils import FormalismError
 
@@ -168,14 +168,6 @@ class Problem:
 
     def __str__(self) -> str:
         return self.describe()
-
-
-def iter_configurations(problem: Problem) -> Iterator[tuple[str, Configuration]]:
-    """Yield ("white"|"black", configuration) pairs of a problem."""
-    for config in problem.white:
-        yield "white", config
-    for config in problem.black:
-        yield "black", config
 
 
 def problem_from_lines(

@@ -29,15 +29,10 @@ from repro.graphs.generators import (
 )
 from repro.graphs.girth import (
     exact_girth,
-    has_girth_at_least,
     hypergraph_girth,
     theorem_b2_budget,
 )
-from repro.graphs.hypergraphs import (
-    Hypergraph,
-    linear_uniform_hypergraph,
-    regular_uniform_hypergraph_from_graph,
-)
+from repro.graphs.hypergraphs import Hypergraph, linear_uniform_hypergraph
 from repro.graphs.independence import (
     exact_independence_number,
     greedy_independent_set,
@@ -62,7 +57,6 @@ __all__ = [
     "exact_independence_number",
     "greedy_coloring",
     "greedy_independent_set",
-    "has_girth_at_least",
     "hypergraph_girth",
     "is_independent_set",
     "lemma21_graph",
@@ -71,6 +65,5 @@ __all__ = [
     "max_clique_lower_bound",
     "padded_support_graph",
     "random_regular_with_girth",
-    "regular_uniform_hypergraph_from_graph",
     "theorem_b2_budget",
 ]

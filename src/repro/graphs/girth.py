@@ -47,11 +47,6 @@ def exact_girth(graph: nx.Graph) -> float:
     return best
 
 
-def has_girth_at_least(graph: nx.Graph, bound: float) -> bool:
-    """True when girth(G) ≥ bound (vacuously for forests)."""
-    return exact_girth(graph) >= bound
-
-
 def hypergraph_girth(incidence_graph: nx.Graph) -> float:
     """Girth of a hypergraph: half the girth of its incidence graph
     (Appendix B's convention)."""

@@ -9,7 +9,7 @@ the hyperedge.  Ordinary graphs are rank-2 hypergraphs, which is how the
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import networkx as nx
@@ -99,11 +99,6 @@ class Hypergraph:
         from repro.graphs.girth import hypergraph_girth
 
         return hypergraph_girth(self.incidence_graph())
-
-
-def regular_uniform_hypergraph_from_graph(graph: nx.Graph) -> Hypergraph:
-    """The rank-2 hypergraph of a Δ-regular graph — the §5/§6 substrate."""
-    return Hypergraph.from_graph(graph)
 
 
 def linear_uniform_hypergraph(

@@ -9,8 +9,6 @@ scale suffice.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import networkx as nx
 
 
@@ -73,17 +71,3 @@ def is_independent_set(graph: nx.Graph, nodes: set) -> bool:
     return True
 
 
-def independence_upper_bound_certificate(
-    graph: nx.Graph, bound: int, node_limit: int = 64
-) -> bool:
-    """Certify α(G) ≤ bound exactly (small graphs only)."""
-    return exact_independence_number(graph, node_limit=node_limit) <= bound
-
-
-def iter_independent_sets(graph: nx.Graph, size: int) -> Iterator[frozenset]:
-    """All independent sets of exactly ``size`` nodes (tiny graphs only)."""
-    from itertools import combinations
-
-    for combo in combinations(sorted(graph.nodes, key=str), size):
-        if is_independent_set(graph, set(combo)):
-            yield frozenset(combo)

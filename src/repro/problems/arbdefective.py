@@ -20,7 +20,7 @@ from itertools import chain, combinations
 
 from repro.formalism.configurations import CondensedConfiguration, Label
 from repro.formalism.constraints import Constraint
-from repro.formalism.labels import color_label, color_label_members
+from repro.formalism.labels import color_label
 from repro.formalism.problems import Problem
 from repro.utils import InvalidParameterError
 
@@ -111,13 +111,6 @@ def sinkless_coloring_problem(delta: int) -> Problem:
     after the Lemma 5.3 conversion that is Π_Δ((α+1)·c) = Π_Δ(Δ).
     """
     return pi_arbdefective(delta, delta)
-
-
-def coloring_from_configuration(config_label: Label) -> frozenset[int]:
-    """Decode which colors a ℓ(C) label carries (helper for extraction)."""
-    if config_label == "X":
-        raise InvalidParameterError("X carries no colors")
-    return color_label_members(config_label)
 
 
 def arbdefective_to_family_labels(

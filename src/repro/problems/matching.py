@@ -15,7 +15,7 @@ Lemma 4.5 / Corollary 4.6 the round elimination sequence
 
 from __future__ import annotations
 
-from repro.formalism.configurations import CondensedConfiguration, Configuration, Label
+from repro.formalism.configurations import CondensedConfiguration, Label
 from repro.formalism.constraints import Constraint
 from repro.formalism.problems import Problem
 from repro.utils import InvalidParameterError
@@ -187,10 +187,3 @@ def matching_sequence_problems(delta: int, x: int, y: int, steps: int) -> list[P
             f"k={steps}, Δ={delta}"
         )
     return [pi_matching(delta, x + index * y, y) for index in range(steps + 1)]
-
-
-def is_white_configuration_matched(config: Configuration, y: int) -> bool:
-    """Classify a Π_Δ(x,y) white configuration: does it represent a node
-    matched y times (type 1), an unmatched covered node (type 2) or a node
-    excused by a Z pointer (type 3)?  Returns True for type 1."""
-    return config.count("M") == 1

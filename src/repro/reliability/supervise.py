@@ -1,10 +1,9 @@
 """Worker supervision: restart dead workers, time out hung ones.
 
-:class:`SupervisedWorkerPool` keeps the
-:class:`~repro.service.worker.WorkerPool` batch contract (``run_batch``:
-canonical requests in, results in task order, failures as data) and adds
-the self-healing layer the service daemon needs to survive a hostile
-world:
+:class:`SupervisedWorkerPool` is the service's batch executor
+(``run_batch``: canonical requests in, results in task order, failures
+as data) with the self-healing layer the service daemon needs to survive
+a hostile world:
 
 * **dead workers** — a worker process that dies mid-request (a real
   broken pool, or an injected ``worker.exec``/``crash`` fault) is
@@ -64,9 +63,9 @@ def timeout_result(deadline: float | None) -> dict:
 class SupervisedWorkerPool:
     """Batch executor with supervision, deadlines, and fault hooks.
 
-    Drop-in for :class:`~repro.service.worker.WorkerPool`: inline when
-    ``jobs=1``, a lazily created process pool otherwise, results always
-    in task order, a failed request always a *result*.
+    Runs :func:`~repro.service.worker.compute_result` inline when
+    ``jobs=1``, in a lazily created process pool otherwise; results are
+    always in task order, a failed request always a *result*.
     """
 
     def __init__(

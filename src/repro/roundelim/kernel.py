@@ -49,11 +49,6 @@ from repro.utils import SolverLimitError
 MaskConfig = tuple[int, ...]
 
 
-def mask_dominates(big: int, small: int) -> bool:
-    """Subset test on label-set masks: ``small`` ⊆ ``big``."""
-    return small & big == small
-
-
 class _SearchContext:
     """Per-search caches over one compiled constraint table.
 

@@ -10,7 +10,8 @@ Layers (transport-agnostic core, thin skins):
 
 * :mod:`repro.service.protocol` — versioned wire protocol + request digests
 * :mod:`repro.service.cache` — the digest-keyed two-tier report cache
-* :mod:`repro.service.worker` — pure request execution + process pool
+* :mod:`repro.service.worker` — pure request execution (run by the
+  supervised pool of :mod:`repro.reliability.supervise`)
 * :mod:`repro.service.server` — :class:`SolveService` (dedup + dispatch)
 * :mod:`repro.service.httpd` — stdlib HTTP transport
 * :mod:`repro.service.client` — retrying stdlib client (timeouts, backoff)
@@ -41,7 +42,7 @@ from repro.service.server import (
     ServiceOverloadedError,
     SolveService,
 )
-from repro.service.worker import WorkerPool, compute_result
+from repro.service.worker import compute_result
 
 __all__ = [
     "KINDS",
@@ -57,7 +58,6 @@ __all__ = [
     "ServiceOverloadedError",
     "ServiceUnavailableError",
     "SolveService",
-    "WorkerPool",
     "canonicalize_request",
     "compute_result",
     "error_response",

@@ -16,12 +16,10 @@ waiting requester and keep serving.
 from __future__ import annotations
 
 import json
-import multiprocessing
 
 from repro import api
 from repro.api.errors import error_code
 from repro.roundelim.explore.store import compute_step
-from repro.utils import InvalidParameterError
 
 
 def compute_result(canonical: dict) -> dict:
@@ -62,41 +60,3 @@ def compute_result(canonical: dict) -> dict:
             "message": f"{type(error).__name__}: {error}",
         }
 
-
-class WorkerPool:
-    """Batch executor: inline when ``jobs=1``, process pool otherwise.
-
-    The pool is created lazily on the first parallel batch (a service
-    that only ever serves cache hits should not fork workers), and falls
-    back to inline execution when process pools are unavailable — e.g.
-    inside a daemonic worker of an outer pool, the same restriction the
-    exploration frontier handles.
-    """
-
-    def __init__(self, jobs: int = 1) -> None:
-        if jobs < 1:
-            raise InvalidParameterError("worker jobs must be >= 1")
-        self.jobs = jobs
-        self._pool = None
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            try:
-                self._pool = multiprocessing.Pool(processes=self.jobs)
-            except (AssertionError, ValueError, OSError):
-                self._pool = False  # pools unavailable here: stay inline
-        return self._pool
-
-    def run_batch(self, batch: list[dict]) -> list[dict]:
-        """Execute a batch of canonical requests, results in task order."""
-        if len(batch) > 1 and self.jobs > 1:
-            pool = self._ensure_pool()
-            if pool:
-                return pool.map(compute_result, batch)
-        return [compute_result(canonical) for canonical in batch]
-
-    def close(self) -> None:
-        if self._pool:
-            self._pool.close()
-            self._pool.join()
-        self._pool = None

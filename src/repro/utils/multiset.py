@@ -22,11 +22,6 @@ def canonical(items: Iterable[T]) -> tuple[T, ...]:
     return tuple(sorted(items))
 
 
-def counter_of(items: Iterable[T]) -> Counter[T]:
-    """Return the multiplicity map of a multiset."""
-    return Counter(items)
-
-
 def is_submultiset(small: Mapping[T, int], big: Mapping[T, int]) -> bool:
     """Return True if ``small`` is contained in ``big`` with multiplicities."""
     return all(big.get(item, 0) >= count for item, count in small.items())

@@ -6,8 +6,10 @@ import random
 import pytest
 
 from repro.core.derandomization import (
+    count_labeled_graphs,
     count_supported_instances_exact,
     derandomize_by_union_bound,
+    deterministic_bound_to_randomized,
     hypergraph_instance_count_bound,
     randomized_rounds_from_deterministic,
     supported_instance_count_bound,
@@ -37,6 +39,15 @@ class TestInstanceCounting:
         with pytest.raises(CertificateError):
             count_supported_instances_exact(10)
 
+    @pytest.mark.parametrize(
+        "n,graphs", [(0, 1), (1, 1), (2, 2), (3, 8), (4, 64), (5, 1024)]
+    )
+    def test_labeled_graph_factor(self, n, graphs):
+        """Appendix C's first factor: 2^{C(n,2)} labeled graphs on n nodes
+        (OEIS A006125), each one a support with an empty input subgraph."""
+        assert count_labeled_graphs(n) == graphs
+        assert graphs <= count_supported_instances_exact(n)
+
 
 class TestBoundTransforms:
     def test_randomized_value_capped_by_instance_size(self):
@@ -46,6 +57,14 @@ class TestBoundTransforms:
 
     def test_small_deterministic_value_passes_through(self):
         assert randomized_rounds_from_deterministic(1.0, n=2**300) == 1.0
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_lemma_c2_moves_bound_to_instance_count(self, n):
+        """Lemma C.2: D_Π(n) ≥ d ⇒ R_Π(2^{3n²}) ≥ d.  Inverted at that
+        size, the transform gives back min(d, n)."""
+        rounds, size = deterministic_bound_to_randomized(3.0, n)
+        assert (rounds, size) == (3.0, 2.0 ** (3 * n * n))
+        assert randomized_rounds_from_deterministic(rounds, size) == min(3.0, n)
 
 
 class TestUnionBound:

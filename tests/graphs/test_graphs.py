@@ -29,6 +29,7 @@ from repro.graphs import (
     mark_bipartition,
     padded_support_graph,
     random_regular_with_girth,
+    theorem_b2_budget,
 )
 from repro.utils import GraphConstructionError
 
@@ -58,6 +59,20 @@ class TestGirth:
         petersen, _d, girth = cage("petersen")
         hyper = Hypergraph.from_graph(petersen)
         assert hypergraph_girth(hyper.incidence_graph()) == girth
+
+    @pytest.mark.parametrize(
+        "builder,budget",
+        [
+            (lambda: cage("petersen")[0], 0.5),
+            (lambda: cage("mcgee")[0], 1.5),
+            (lambda: cage("tutte_coxeter")[0], 2.0),
+            (lambda: nx.path_graph(5), math.inf),
+        ],
+    )
+    def test_theorem_b2_budget(self, builder, budget):
+        """The (g−4)/2 term of Theorem B.2's min{2k, (g−4)/2} on certified
+        girths; a forest has no cycle, so girth caps nothing."""
+        assert theorem_b2_budget(exact_girth(builder())) == budget
 
 
 class TestIndependenceAndChromatic:
