@@ -13,57 +13,13 @@ of the coloring — the trade Theorem 5.1 proves cannot be beaten when
 
 from __future__ import annotations
 
-import networkx as nx
-
+from repro.algorithms.coloring_dist import ClassSweepColoring
 from repro.api.registry import Algorithm, register_algorithm
 from repro.api.types import MessagePassingProgram, ProblemSpec
-from repro.checkers.graph_problems import CheckResult, check_arbdefective_coloring
 from repro.local.network import Network
 from repro.local.simulator import NodeAlgorithm
+from repro.local.vectorized import run_vectorized
 from repro.utils import InvalidParameterError
-
-
-def class_sweep_arbdefective_coloring(
-    graph: nx.Graph, proper_coloring: dict, colors: int
-) -> tuple[dict, set[tuple], int, int]:
-    """α-arbdefective ``colors``-coloring from a proper coloring.
-
-    Returns (color_of ∈ {1..c}, orientation pairs, α = ⌊Δ/c⌋, rounds).
-    Rounds equal the number of classes in the input coloring (each class
-    decides one round after seeing earlier classes' bucket choices).
-    """
-    if colors < 1:
-        raise InvalidParameterError(f"need c ≥ 1, got {colors}")
-    distinct = sorted(set(proper_coloring.values()), key=str)
-    rank = {value: index for index, value in enumerate(distinct)}
-    for u, v in graph.edges:
-        if proper_coloring[u] == proper_coloring[v]:
-            raise InvalidParameterError(
-                f"input coloring is not proper: edge {(u, v)} monochromatic"
-            )
-
-    delta = max((graph.degree(v) for v in graph.nodes), default=0)
-    alpha = delta // colors
-
-    color_of: dict = {}
-    orientation: set[tuple] = set()
-    for node in sorted(graph.nodes, key=lambda v: rank[proper_coloring[v]]):
-        bucket_loads = {bucket: 0 for bucket in range(1, colors + 1)}
-        finalized_neighbors: dict[int, list] = {
-            bucket: [] for bucket in range(1, colors + 1)
-        }
-        for neighbor in graph.neighbors(node):
-            bucket = color_of.get(neighbor)
-            if bucket is not None:
-                bucket_loads[bucket] += 1
-                finalized_neighbors[bucket].append(neighbor)
-        chosen = min(bucket_loads, key=lambda b: (bucket_loads[b], b))
-        color_of[node] = chosen
-        for neighbor in finalized_neighbors[chosen]:
-            orientation.add((node, neighbor))
-
-    rounds = len(distinct)
-    return color_of, orientation, alpha, rounds
 
 
 class _ArbdefectiveSweepNode(NodeAlgorithm):
@@ -115,6 +71,25 @@ class _ArbdefectiveSweepNode(NodeAlgorithm):
             self.halt({"bucket": self.bucket, "out_ports": self.out_ports})
 
 
+def _base_coloring(network: Network, spec: ProblemSpec) -> tuple[dict, int]:
+    """The default proper coloring and its cost in rounds.
+
+    Runs the ``coloring:class-sweep`` kernel on that algorithm's own
+    knowledge declaration (its program reads no spec parameter), so the
+    sweep is stated once.  Colors shift to 1..Δ+1; the round cap is the
+    class count, which the sweep takes exactly.
+    """
+    program = ClassSweepColoring().program(network, spec, {})
+    run = run_vectorized(
+        network,
+        program.kernel,
+        program.per_node,
+        program.shared,
+        max_rounds=program.shared["num_classes"],
+    )
+    return {node: color + 1 for node, color in run.outputs.items()}, run.rounds
+
+
 class ClassSweepArbdefective(Algorithm):
     """``"arbdefective:class-sweep"`` — α-arbdefective c-coloring.
 
@@ -124,8 +99,10 @@ class ClassSweepArbdefective(Algorithm):
     engine rounds) and sweeps its classes into the spec's ``c`` buckets
     (2 when absent).  Class peers decide
     simultaneously — they are non-adjacent in a proper coloring, so the
-    result is identical to the sequential
-    :func:`class_sweep_arbdefective_coloring`.  The finalized solution is
+    result is identical to a sequential sweep in class order.  The
+    default base coloring is a run of the registered
+    ``coloring:class-sweep`` kernel (:func:`_base_coloring`), whichever
+    engine runs the bucket sweep.  The finalized solution is
     a dict with ``color_of``, ``orientation``, ``alpha`` and ``colors`` —
     the exact arguments of the §5 checker.
     """
@@ -138,8 +115,6 @@ class ClassSweepArbdefective(Algorithm):
     def program(
         self, network: Network, spec: ProblemSpec, options: dict
     ) -> MessagePassingProgram:
-        from repro.algorithms.coloring_dist import class_sweep_coloring
-
         graph = network.graph
         colors = spec.param("colors", 2)
         if colors < 1:
@@ -147,8 +122,7 @@ class ClassSweepArbdefective(Algorithm):
         proper = options.get("proper_coloring")
         offset = 0
         if proper is None:
-            base, offset = class_sweep_coloring(graph)
-            proper = {node: color + 1 for node, color in base.items()}
+            proper, offset = _base_coloring(network, spec)
         distinct = sorted(set(proper.values()), key=str)
         rank = {value: index for index, value in enumerate(distinct)}
         for u, v in graph.edges:
@@ -186,13 +160,3 @@ class ClassSweepArbdefective(Algorithm):
 
 
 register_algorithm(ClassSweepArbdefective())
-
-
-def verify_class_sweep_construction(
-    graph: nx.Graph, proper_coloring: dict, colors: int
-) -> CheckResult:
-    """Run the reduction and validate it with the §5 checker."""
-    color_of, orientation, alpha, _rounds = class_sweep_arbdefective_coloring(
-        graph, proper_coloring, colors
-    )
-    return check_arbdefective_coloring(graph, color_of, orientation, alpha, colors)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-import networkx as nx
 import numpy as np
 
 from repro.api.registry import Algorithm, register_algorithm
@@ -185,14 +184,3 @@ class ProposalMatching(Algorithm):
 
 
 register_algorithm(ProposalMatching())
-
-
-def greedy_maximal_matching(graph: nx.Graph) -> set[frozenset]:
-    """Sequential greedy baseline (for cross-checking the distributed one)."""
-    matched: set = set()
-    matching: set[frozenset] = set()
-    for u, v in sorted(graph.edges, key=str):
-        if u not in matched and v not in matched:
-            matching.add(frozenset((u, v)))
-            matched.update((u, v))
-    return matching

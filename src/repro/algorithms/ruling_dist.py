@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-import networkx as nx
-
 from repro.algorithms.mis import joined_nodes
 from repro.api.registry import Algorithm, register_algorithm
 from repro.api.types import MessagePassingProgram, ProblemSpec
@@ -23,53 +21,6 @@ from repro.local.dense import NodeSet
 from repro.local.network import Network
 from repro.local.simulator import NodeAlgorithm
 from repro.utils import InvalidParameterError
-
-
-def ruling_set_by_class_sweep(
-    graph: nx.Graph,
-    beta: int,
-    coloring: dict | None = None,
-) -> tuple[set, int]:
-    """Compute a (2,β)-ruling set; returns (S, simulated rounds).
-
-    Rounds are accounted as (number of classes) · β: each class decides
-    after a β-hop probe.  The construction is centralized but round-
-    faithful (every decision uses only distance-β information plus the
-    shared coloring, which is free in Supported LOCAL).
-    """
-    if coloring is None:
-        coloring = greedy_coloring(graph)
-    num_classes = max(coloring.values(), default=-1) + 1
-    selected: set = set()
-    for current_class in range(num_classes):
-        candidates = sorted(
-            (node for node in graph.nodes if coloring[node] == current_class),
-            key=str,
-        )
-        for node in candidates:
-            if not _within_distance(graph, node, selected, beta):
-                selected.add(node)
-    rounds = num_classes * beta
-    return selected, rounds
-
-
-def _within_distance(graph: nx.Graph, node, targets: set, beta: int) -> bool:
-    """Is any target within distance β of node?  (β-hop BFS probe.)"""
-    if node in targets:
-        return True
-    frontier = {node}
-    seen = {node}
-    for _hop in range(beta):
-        frontier = {
-            neighbor
-            for member in frontier
-            for neighbor in graph.neighbors(member)
-            if neighbor not in seen
-        }
-        if frontier & targets:
-            return True
-        seen |= frontier
-    return False
 
 
 class _ClassSweepRulingNode(NodeAlgorithm):
@@ -127,11 +78,12 @@ class ClassSweepRulingSet(Algorithm):
     shared greedy coloring.
 
     The wave construction lets *all* unruled class peers select
-    simultaneously, so for β ≥ 2 the selected set can differ from the
-    (sequential) :func:`ruling_set_by_class_sweep` — it is still an
-    independent (2,β)-ruling set (class peers of a proper coloring are
+    simultaneously, so for β ≥ 2 the selected set can differ from a
+    sequential sweep that admits class peers one at a time — it is still
+    an independent (2,β)-ruling set (class peers of a proper coloring are
     non-adjacent), with the identical ``num_classes · β`` round count.
-    For β = 1 the outputs coincide.
+    For β = 1 the outputs coincide; so do they for any β when every
+    class holds one node.
     """
 
     name = "ruling-set:class-sweep"

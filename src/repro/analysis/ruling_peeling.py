@@ -19,7 +19,6 @@ The module provides the classifier, the per-step transformation, the
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -53,7 +52,7 @@ class BarPiChecker:
                 continue
             problem = self._family_problem(y)
             if all(
-                _exists_choice(subset, problem)
+                problem.white.exists_choice(subset)
                 for subset in combinations(label_sets, arity)
             ):
                 return True
@@ -87,27 +86,6 @@ class BarPiChecker:
                 if not self.edge_ok(assignment[(u, v)], assignment[(v, u)]):
                     return False
         return True
-
-
-def _exists_choice(slots: tuple[frozenset[Label], ...], problem: Problem) -> bool:
-    ordered = sorted(slots, key=len)
-
-    def recurse(index: int, partial: Counter[Label]) -> bool:
-        if index == len(ordered):
-            return problem.white.allows_multiset(partial.elements())
-        for label in sorted(ordered[index]):
-            partial[label] += 1
-            if problem.white.allows_partial(partial, index + 1) and recurse(
-                index + 1, partial
-            ):
-                partial[label] -= 1
-                return True
-            partial[label] -= 1
-            if partial[label] == 0:
-                del partial[label]
-        return False
-
-    return recurse(0, Counter())
 
 
 def classify_types(

@@ -24,7 +24,6 @@ inspection), with set labels encoded as in
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import combinations, product
@@ -95,29 +94,9 @@ class LiftedProblem:
             return False
         delta_prime = self.base.white_arity
         for subset in _distinct_subsets(sets, delta_prime):
-            if not self._exists_white_choice(subset):
+            if not self.base.white.exists_choice(subset):
                 return False
         return True
-
-    def _exists_white_choice(self, subset: tuple[LabelSet, ...]) -> bool:
-        ordered = sorted(subset, key=len)
-
-        def recurse(index: int, partial: Counter[Label]) -> bool:
-            if index == len(ordered):
-                return self.base.white.allows_multiset(partial.elements())
-            for label in sorted(ordered[index]):
-                partial[label] += 1
-                if self.base.white.allows_partial(partial, index + 1) and recurse(
-                    index + 1, partial
-                ):
-                    partial[label] -= 1
-                    return True
-                partial[label] -= 1
-                if partial[label] == 0:
-                    del partial[label]
-            return False
-
-        return recurse(0, Counter())
 
     def right_close(self, labels: Iterable[Label]) -> LabelSet:
         """The smallest valid lift label containing ``labels``.

@@ -8,7 +8,11 @@ membership, solvers need two derived queries that this module precomputes:
   allowed configuration?  (Used for propagation in the CSP solver.)
 * ``completions``: which labels may still be placed given a partial multiset?
 
-Both queries are answered against the explicit configuration list, which is
+On top of ``allows_partial``, ``exists_choice`` asks whether some choice of
+one label per slot of a set configuration is allowed — the ∃ of round
+elimination's R and of the lift's white condition.
+
+These queries are answered against the explicit configuration list, which is
 feasible for every problem in the paper at verification scale (the families
 of Definitions 4.2 / 5.2 / 6.2 instantiated at small Δ).
 """
@@ -91,6 +95,33 @@ class Constraint:
         if assigned > self._size:
             return False
         return any(config.extends(partial) for config in self._configs)
+
+    def exists_choice(self, slots: Iterable[frozenset[Label]]) -> bool:
+        """Is some choice of one label per slot an allowed configuration?
+
+        A depth-first search with :meth:`allows_partial` pruning.  Slots
+        are visited smallest-first and each slot's label order is
+        computed once, outside the recursion.
+        """
+        ordered = sorted(slots, key=len)
+        slot_orders = [sorted(slot) for slot in ordered]
+
+        def recurse(index: int, partial: Counter[Label]) -> bool:
+            if index == len(slot_orders):
+                return self.allows_multiset(partial.elements())
+            for label in slot_orders[index]:
+                partial[label] += 1
+                if self.allows_partial(partial, index + 1) and recurse(
+                    index + 1, partial
+                ):
+                    partial[label] -= 1
+                    return True
+                partial[label] -= 1
+                if partial[label] == 0:
+                    del partial[label]
+            return False
+
+        return recurse(0, Counter())
 
     def completions(self, partial: Counter[Label]) -> frozenset[Label]:
         """Labels ℓ such that ``partial + {ℓ}`` still extends to an allowed

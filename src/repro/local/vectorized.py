@@ -407,7 +407,11 @@ class ColoringSweepKernel(ClassSweepKernel):
     scattered receiver-side into a per-node "colors seen" bitmap
     (``seen[node, color]``).  Class ``c`` finalizes in round ``c + 1``
     with the mex over its bitmap row — ``argmin`` of a boolean row is the
-    first unseen color, and a width of Δ + 1 guarantees one exists.
+    first unseen color.  A class-``c`` node sees only the colors of
+    earlier classes, each at most its own class, so its mex is at most
+    ``c`` as well as at most its degree: ``min(Δ + 1, num_classes)``
+    columns hold every color, which keeps the bitmap linear in n on
+    skewed graphs (the greedy default gives a star two columns).
 
     Knowledge: per node its ``initial_color`` class; shared,
     ``num_classes``.
@@ -418,7 +422,8 @@ class ColoringSweepKernel(ClassSweepKernel):
 
     def __init__(self, vnet, per_node, shared, rng_for=None):
         super().__init__(vnet, per_node, shared, rng_for=rng_for)
-        width = int(vnet.degrees.max(initial=0)) + 1
+        max_degree = int(vnet.degrees.max(initial=0))
+        width = max(1, min(max_degree + 1, int(shared["num_classes"])))
         self.seen = np.zeros((vnet.n, width), dtype=bool)
         self.final = np.full(vnet.n, -1, dtype=np.int64)
 
@@ -436,8 +441,8 @@ class ColoringSweepKernel(ClassSweepKernel):
         vnet = self.vnet
         joined = (self.cls == rnd - 1) & ~self.halted
         joiners = np.flatnonzero(joined)
-        # mex: first False column of each joiner's seen-colors row (a
-        # width of Δ + 1 guarantees one, since a row holds ≤ deg Trues).
+        # mex: first False column of each joiner's seen-colors row (the
+        # width bound above guarantees one: the mex is ≤ min(deg, class)).
         self.final[joiners] = np.argmin(self.seen[joiners], axis=1)
         edges = np.flatnonzero(joined[vnet.owner])
         return edges, self.final[vnet.owner[edges]]
@@ -509,7 +514,7 @@ class ArbdefectiveSweepKernel(ClassSweepKernel):
     After ``offset`` idle rounds (the accounted cost of the base proper
     coloring), class rank ``r`` decides in round ``offset + r + 1``: it
     takes the least-loaded bucket (ties to the lowest, matching the
-    centralized ``min`` key), marks its half-edges towards same-bucket
+    node program's ``min`` key), marks its half-edges towards same-bucket
     finalized neighbors as outgoing, and announces ``("bucket", b)``.
     Receivers scatter the announcement into per-bucket load counters and
     the per-port bucket table.  Knowledge: per node its class ``rank``;

@@ -34,7 +34,6 @@ Two interchangeable engines compute the operators:
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator
 from itertools import product
 
@@ -183,37 +182,9 @@ def _existential_white_constraint(
     result: list[tuple[frozenset[Label], ...]] = []
     for names in all_multisets(encoded, arity):
         slots = tuple(encoded[name] for name in names)
-        if _exists_choice(slots, base_constraint):
+        if base_constraint.exists_choice(slots):
             result.append(slots)
     return result
-
-
-def _exists_choice(slots: tuple[frozenset[Label], ...], constraint: Constraint) -> bool:
-    """DFS with partial-extension pruning: ∃ choice over slots in constraint?
-
-    Slots are visited smallest-first and each slot's label order is
-    computed once, outside the recursion.
-    """
-
-    ordered = sorted(slots, key=len)
-    slot_orders = [sorted(slot) for slot in ordered]
-
-    def recurse(index: int, partial: Counter[Label]) -> bool:
-        if index == len(ordered):
-            return constraint.allows_multiset(partial.elements())
-        for label in slot_orders[index]:
-            partial[label] += 1
-            if constraint.allows_partial(partial, index + 1) and recurse(
-                index + 1, partial
-            ):
-                partial[label] -= 1
-                return True
-            partial[label] -= 1
-            if partial[label] == 0:
-                del partial[label]
-        return False
-
-    return recurse(0, Counter())
 
 
 def apply_R(

@@ -2,22 +2,15 @@
 
 The registered algorithms run through :func:`repro.api.solve` with
 ``check=False``, so each test states its own validity assertion; the
-sequential references (class sweeps, greedy matching, global sinkless
-orientation) are called directly.
+global sinkless orientation, the one central computation left in the
+package, is called directly.
 """
 
 import networkx as nx
 import pytest
 
 from repro import api
-from repro.algorithms import (
-    class_sweep_arbdefective_coloring,
-    class_sweep_coloring,
-    global_sinkless_orientation,
-    greedy_maximal_matching,
-    ruling_set_by_class_sweep,
-    verify_class_sweep_construction,
-)
+from repro.algorithms import global_sinkless_orientation
 from repro.checkers import (
     check_arbdefective_coloring,
     check_maximal_matching,
@@ -36,7 +29,11 @@ from repro.graphs import (
 )
 from repro.algorithms.matching_dist import matching_from_outputs
 from repro.local import Network
-from repro.utils import GraphConstructionError, SimulationError
+from repro.utils import (
+    GraphConstructionError,
+    InvalidParameterError,
+    SimulationError,
+)
 
 
 def _matching(cover, **options):
@@ -53,6 +50,44 @@ def _matching(cover, **options):
 def _mis(graph, algorithm, seed=0):
     report = api.solve(
         "mis:Δ=3", algorithm=algorithm, graph=graph, seed=seed, check=False
+    )
+    return report.outputs, report.rounds
+
+
+def _coloring(graph, **options):
+    report = api.solve(
+        "coloring:Δ=3",
+        algorithm="coloring:class-sweep",
+        graph=graph,
+        check=False,
+        **options,
+    )
+    return report.outputs, report.rounds
+
+
+def _arbdefective(graph, colors, **options):
+    report = api.solve(
+        f"arbdefective:Δ=3,c={colors}",
+        algorithm="arbdefective:class-sweep",
+        graph=graph,
+        check=False,
+        **options,
+    )
+    return report.outputs
+
+
+def _ruling_set(graph, beta):
+    """The sequential (2,β)-ruling-set sweep: one class per node, in
+    (greedy class, ``str(node)``) order, so the wave admits one node at
+    a time."""
+    greedy = greedy_coloring(graph)
+    order = sorted(graph.nodes, key=lambda node: (greedy[node], str(node)))
+    report = api.solve(
+        f"ruling-set:Δ=3,c=1,β={beta}",
+        algorithm="ruling-set:class-sweep",
+        graph=graph,
+        check=False,
+        coloring={node: index for index, node in enumerate(order)},
     )
     return report.outputs, report.rounds
 
@@ -88,11 +123,6 @@ class TestProposalMatching:
         matching, _rounds = _matching(cover, input_edges=input_edges)
         input_graph = nx.Graph(list(tuple(edge) for edge in input_edges))
         assert check_maximal_matching(input_graph, matching)
-
-    def test_agrees_with_greedy_on_validity(self):
-        cover = mark_bipartition(cycle(10))
-        matching = greedy_maximal_matching(cover)
-        assert check_maximal_matching(cover, matching)
 
     def test_decoding_refuses_a_port_the_node_lacks(self):
         network = Network(graph=mark_bipartition(cycle(4)))
@@ -130,52 +160,10 @@ class TestColoring:
     @pytest.mark.parametrize("name", ["petersen", "mcgee"])
     def test_class_sweep_proper(self, name):
         graph, degree, _g = cage(name)
-        coloring, rounds = class_sweep_coloring(graph)
+        coloring, rounds = _coloring(graph)
         assert check_proper_coloring(graph, coloring)
         assert max(coloring.values()) <= degree  # (Δ+1) colors, 0-based
         assert rounds >= 1
-
-    def test_coloring_from_ids_uses_id_ranks(self):
-        """IDs are only distinct, not contiguous: adversarial IDs from
-        {1..n^3} must still yield the contiguous 0-based n-coloring (the
-        former ``id - 1`` shortcut inflated the class count n^2-fold)."""
-        from repro.algorithms.coloring_dist import coloring_from_ids
-        from repro.local import Network
-
-        graph, _d, _g = cage("petersen")
-        canonical = Network(graph=graph)
-        assert coloring_from_ids(canonical) == {
-            node: canonical.ids[node] - 1 for node in graph.nodes
-        }
-        adversarial = canonical.with_random_ids(seed=3)
-        coloring = coloring_from_ids(adversarial)
-        assert sorted(coloring.values()) == list(range(graph.number_of_nodes()))
-        # Rank order matches ID order.
-        by_id = sorted(graph.nodes, key=lambda v: adversarial.ids[v])
-        assert [coloring[node] for node in by_id] == list(
-            range(graph.number_of_nodes())
-        )
-
-    def test_class_sweep_matches_engine_run(self):
-        """The centralized helper is byte-identical to actually running
-        the node program (it replaced an internal simulation)."""
-        from repro.algorithms.coloring_dist import _ClassSweepNode
-        from repro.local import Network, run_synchronous
-
-        graph, _d, _g = cage("petersen")
-        initial = greedy_coloring(graph)
-        num_classes = max(initial.values(), default=-1) + 1
-        result = run_synchronous(
-            Network(graph=graph),
-            _ClassSweepNode,
-            extra=lambda node: {
-                "initial_color": initial[node],
-                "num_classes": num_classes,
-            },
-        )
-        coloring, rounds = class_sweep_coloring(graph, initial)
-        assert coloring == dict(result.outputs)
-        assert rounds == result.rounds
 
 
 class TestArbdefective:
@@ -183,34 +171,71 @@ class TestArbdefective:
     def test_class_sweep_construction(self, colors):
         graph, _d, _g = cage("petersen")
         base = greedy_coloring(graph)
-        assert verify_class_sweep_construction(graph, base, colors)
+        solution = _arbdefective(graph, colors, proper_coloring=base)
+        assert check_arbdefective_coloring(
+            graph,
+            solution["color_of"],
+            solution["orientation"],
+            solution["alpha"],
+            colors,
+        )
 
     def test_alpha_formula(self):
         graph, degree, _g = cage("heawood")
         base = greedy_coloring(graph)
-        _c, _o, alpha, _r = class_sweep_arbdefective_coloring(graph, base, 2)
-        assert alpha == degree // 2
+        solution = _arbdefective(graph, 2, proper_coloring=base)
+        assert solution["alpha"] == degree // 2
 
     def test_improper_input_rejected(self):
         graph = cycle(4)
-        from repro.utils import InvalidParameterError
-
         with pytest.raises(InvalidParameterError):
-            class_sweep_arbdefective_coloring(graph, {n: 1 for n in graph}, 2)
+            _arbdefective(graph, 2, proper_coloring={n: 1 for n in graph})
+
+    @pytest.mark.parametrize("engine", ["object", "vectorized"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("colors", [1, 2, 3])
+    @pytest.mark.parametrize("delta", [3, 4])
+    def test_default_base_is_the_coloring_sweep(self, delta, colors, seed, engine):
+        """The default proper coloring is the ``coloring:class-sweep``
+        solve's, shifted to 1..Δ+1, and its rounds are the idle prefix:
+        passing that coloring explicitly gives the same outputs, minus
+        the coloring's rounds."""
+        spec = f"arbdefective:Δ={delta},c={colors}"
+        network = api.resolve_algorithm("arbdefective:class-sweep").default_network(
+            api.ProblemSpec.parse(spec), n=64, seed=seed
+        )
+
+        def solve(problem, algorithm, **options):
+            return api.solve(
+                problem, algorithm=algorithm, engine=engine, network=network,
+                seed=seed, **options,
+            )
+
+        coloring = solve(f"coloring:Δ={delta}", "coloring:class-sweep")
+        default = solve(spec, "arbdefective:class-sweep")
+        explicit = solve(
+            spec,
+            "arbdefective:class-sweep",
+            proper_coloring={v: x + 1 for v, x in coloring.outputs.items()},
+        )
+        assert default.valid and explicit.valid
+        assert explicit.outputs == default.outputs
+        assert coloring.rounds >= 1
+        assert explicit.rounds == default.rounds - coloring.rounds
 
 
 class TestRulingSets:
     @pytest.mark.parametrize("beta", [1, 2, 3])
     def test_sweep_produces_valid_ruling_set(self, beta):
         graph, _d, _g = cage("tutte_coxeter")
-        selected, rounds = ruling_set_by_class_sweep(graph, beta=beta)
+        selected, rounds = _ruling_set(graph, beta=beta)
         assert check_ruling_set(graph, selected, beta, independent=True)
         assert rounds >= beta
 
     def test_larger_beta_allows_sparser_sets(self):
         graph, _d, _g = cage("tutte_coxeter")
-        s1, _ = ruling_set_by_class_sweep(graph, beta=1)
-        s3, _ = ruling_set_by_class_sweep(graph, beta=3)
+        s1, _ = _ruling_set(graph, beta=1)
+        s3, _ = _ruling_set(graph, beta=3)
         assert len(s3) <= len(s1)
 
 

@@ -9,7 +9,7 @@ rejected (failure injection).
 import networkx as nx
 import pytest
 
-from repro.algorithms import class_sweep_arbdefective_coloring, class_sweep_coloring
+from repro import api
 from repro.analysis import (
     BarPiChecker,
     classify_types,
@@ -26,7 +26,7 @@ from repro.analysis import (
 )
 from repro.checkers import check_half_edge_labeling, check_proper_coloring
 from repro.formalism.diagrams import black_diagram, right_closure
-from repro.graphs import cage, cycle
+from repro.graphs import cage, cycle, greedy_coloring
 from repro.problems import (
     arbdefective_to_family_labels,
     pi_arbdefective,
@@ -39,11 +39,15 @@ from repro.utils import CertificateError
 
 def _family_solution(graph, colors):
     """An honest Π_Δ((α+1)c) half-edge solution from a real coloring."""
-    base = class_sweep_coloring(graph)[0]
-    color_of, orientation, alpha, _rounds = class_sweep_arbdefective_coloring(
-        graph, {n: c + 1 for n, c in base.items()}, colors
+    solution = api.solve(
+        f"arbdefective:Δ=3,c={colors}",
+        algorithm="arbdefective:class-sweep",
+        graph=graph,
+    ).outputs
+    alpha = solution["alpha"]
+    labels = arbdefective_to_family_labels(
+        graph, solution["color_of"], solution["orientation"], alpha
     )
-    labels = arbdefective_to_family_labels(graph, color_of, orientation, alpha)
     return labels, (alpha + 1) * colors
 
 
@@ -161,10 +165,19 @@ class TestLemma47Through49:
 
 class TestLemma66Peeling:
     def _ruling_instance(self, beta):
+        """A sequential class-sweep ruling set: one class per node, in
+        (greedy class, ``str(node)``) order.  The default coloring would
+        let a whole bipartition side select at once, which leaves no
+        P_β/U_β labels to peel."""
         graph, _d, _g = cage("tutte_coxeter")
-        from repro.algorithms import ruling_set_by_class_sweep
-
-        selected, _rounds = ruling_set_by_class_sweep(graph, beta=beta)
+        greedy = greedy_coloring(graph)
+        order = sorted(graph.nodes, key=lambda node: (greedy[node], str(node)))
+        selected = api.solve(
+            f"ruling-set:Δ=3,c=1,β={beta}",
+            algorithm="ruling-set:class-sweep",
+            graph=graph,
+            coloring={node: index for index, node in enumerate(order)},
+        ).outputs
         color_of = {node: 1 for node in selected}
         labels = ruling_set_to_family_labels(
             graph, selected, color_of, set(), alpha=0, beta=beta

@@ -58,20 +58,50 @@ def test_identical_reports_on_default_random_networks(spec, algorithm, seed):
         assert report.canonical_json() == reference.canonical_json(), engine
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("algorithm", ["mis:aapr23", "mis:luby"])
-def test_identical_reports_on_irregular_random_graphs(seed, algorithm):
-    """Parity must hold on non-regular graphs too (isolated nodes, mixed
-    degrees — the shapes the default regular substrates never produce)."""
-    graph = nx.gnp_random_graph(48, 0.08, seed=seed)
+#: (id, seed, builder) of irregular graphs: three G(48, 0.08) draws,
+#: id'd by their seed (isolated nodes, mixed degrees), a star K_{1,200}
+#: (one hub, skewed degrees) and a disconnected union of a 7-cycle, a
+#: 5-path and four isolated nodes — shapes the default regular
+#: substrates never produce.
+IRREGULAR_GRAPHS = [
+    *(
+        (str(seed), seed, lambda seed=seed: nx.gnp_random_graph(48, 0.08, seed=seed))
+        for seed in (1, 2, 3)
+    ),
+    ("star-200", 0, lambda: nx.star_graph(200)),
+    (
+        "cycle-path-isolated",
+        0,
+        lambda: nx.disjoint_union_all(
+            [nx.cycle_graph(7), nx.path_graph(5), nx.empty_graph(4)]
+        ),
+    ),
+]
+
+#: algorithm → its spec on a graph of max degree Δ (at least 2).
+IRREGULAR_SPECS = {
+    "mis:aapr23": "mis:Δ={delta}",
+    "mis:luby": "mis:Δ={delta}",
+    "coloring:class-sweep": "coloring:Δ={delta}",
+    "ruling-set:class-sweep": "ruling-set:Δ={delta},c=1,β=2",
+    "arbdefective:class-sweep": "arbdefective:Δ={delta},c=2",
+}
+
+
+@pytest.mark.parametrize(
+    "seed,build", [case[1:] for case in IRREGULAR_GRAPHS],
+    ids=[case[0] for case in IRREGULAR_GRAPHS],
+)
+@pytest.mark.parametrize("algorithm", sorted(IRREGULAR_SPECS))
+def test_identical_reports_on_irregular_random_graphs(seed, build, algorithm):
+    """Parity must hold on non-regular graphs too, for the randomized
+    MIS and every class sweep."""
+    graph = build()
     delta = max((d for _n, d in graph.degree), default=0)
+    spec = IRREGULAR_SPECS[algorithm].format(delta=max(delta, 2))
     reports = {
         engine: api.solve(
-            f"mis:Δ={max(delta, 2)}",
-            algorithm=algorithm,
-            engine=engine,
-            graph=graph,
-            seed=seed,
+            spec, algorithm=algorithm, engine=engine, graph=graph, seed=seed
         )
         for engine in api.available_engines()
     }

@@ -1,6 +1,7 @@
 """Unit tests for constraints."""
 
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from repro.formalism.constraints import Constraint, sub_multiset_closure
 from repro.utils import ArityMismatchError, UnknownLabelError
 
 label_strategy = st.sampled_from(["A", "B", "C", "D"])
+slot_strategy = st.frozensets(label_strategy, min_size=1)
 config_strategy = st.lists(label_strategy, min_size=3, max_size=3).map(Configuration)
 constraint_strategy = st.sets(config_strategy, min_size=1, max_size=8).map(Constraint)
 
@@ -106,3 +108,12 @@ class TestConstraint:
         for label in ["A", "B", "C", "D"]:
             extended = tuple(sorted(labels + [label]))
             assert (label in completions) == (extended in closure)
+
+    @given(constraint_strategy, st.lists(slot_strategy, min_size=3, max_size=3))
+    def test_exists_choice_agrees_with_brute_force(self, constraint, slots):
+        """The pruned search finds a choice exactly when one of the
+        slots' full product is allowed."""
+        expected = any(
+            constraint.allows_multiset(choice) for choice in product(*slots)
+        )
+        assert constraint.exists_choice(slots) == expected
