@@ -13,7 +13,7 @@ of the coloring — the trade Theorem 5.1 proves cannot be beaten when
 
 from __future__ import annotations
 
-from repro.algorithms.coloring_dist import ClassSweepColoring
+from repro.algorithms.coloring_dist import ClassSweepColoring, _checked_classes
 from repro.api.registry import Algorithm, register_algorithm
 from repro.api.types import MessagePassingProgram, ProblemSpec
 from repro.local.network import Network
@@ -123,6 +123,12 @@ class ClassSweepArbdefective(Algorithm):
         offset = 0
         if proper is None:
             proper, offset = _base_coloring(network, spec)
+        else:
+            # Classes are only compared and str-ranked: they need not be
+            # integers.
+            proper = _checked_classes(
+                network, "proper_coloring", proper, integral=False
+            )
         distinct = sorted(set(proper.values()), key=str)
         rank = {value: index for index, value in enumerate(distinct)}
         for u, v in graph.edges:

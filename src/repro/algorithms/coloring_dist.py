@@ -11,11 +11,15 @@ communication; the sweep then trades colors for rounds).
 
 from __future__ import annotations
 
+import numbers
+from collections.abc import Mapping
+
 from repro.api.registry import Algorithm, register_algorithm
 from repro.api.types import MessagePassingProgram, ProblemSpec
 from repro.graphs.chromatic import greedy_coloring
 from repro.local.network import Network
 from repro.local.simulator import NodeAlgorithm
+from repro.utils import InvalidParameterError
 
 
 class _ClassSweepNode(NodeAlgorithm):
@@ -48,6 +52,39 @@ class _ClassSweepNode(NodeAlgorithm):
             self.halt(self.final)
 
 
+def _checked_classes(
+    network: Network, option: str, classes, *, integral: bool = True
+) -> Mapping:
+    """The node → class map a caller passed as solve option ``option``.
+
+    The sweeps read the map by the network's own node labels, so it must
+    give every node an entry (over the wire JSON keys are strings, which
+    name no int or tuple node).  With ``integral`` each class must be an
+    integer: class ``c`` takes its turn in round ``c + 1``, so a
+    fractional class would never act on the object engine and would be
+    truncated on the vectorized one.  Raises
+    :class:`InvalidParameterError` naming the option and the first node
+    of ``network.nodes`` at fault.  Only caller maps come here; the
+    shared greedy coloring needs no check.
+    """
+    if not isinstance(classes, Mapping):
+        raise InvalidParameterError(
+            f"option {option!r} must map nodes to classes, got "
+            f"{type(classes).__name__}"
+        )
+    for node in network.nodes:
+        if node not in classes:
+            raise InvalidParameterError(
+                f"option {option!r} has no class for node {node!r}"
+            )
+        if integral and not isinstance(classes[node], numbers.Integral):
+            raise InvalidParameterError(
+                f"option {option!r} gives node {node!r} the class "
+                f"{classes[node]!r}, which is not an integer"
+            )
+    return classes
+
+
 class ClassSweepColoring(Algorithm):
     """``"coloring:class-sweep"`` — (Δ+1)-coloring by class sweep.
 
@@ -67,6 +104,8 @@ class ClassSweepColoring(Algorithm):
         initial = options.get("initial_coloring")
         if initial is None:
             initial = greedy_coloring(network)
+        else:
+            initial = _checked_classes(network, "initial_coloring", initial)
         return MessagePassingProgram(
             factory=_ClassSweepNode,
             kernel="coloring:class-sweep",

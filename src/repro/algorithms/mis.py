@@ -5,9 +5,13 @@ Two algorithms bracket the paper's §1.1 discussion of [AAPR23]:
 * ``"mis:aapr23"`` — the χ_G-round Supported LOCAL upper bound: every
   node knows G, so all nodes compute the *same* coloring of G without
   communication, then process color classes one round each.  Theorem 1.7
-  shows this is optimal for deterministic algorithms.
+  shows this is optimal for deterministic algorithms.  An MIS is a
+  (2,1)-ruling set, so it is the ruling-set class sweep at β = 1 and is
+  registered beside it (:mod:`repro.algorithms.ruling_dist`).
 * ``"mis:luby"`` — Luby's randomized MIS in the plain LOCAL model, as a
   baseline exercising the randomized simulator path.
+
+:func:`joined_nodes` is the finalizer of both and of the ruling sets.
 """
 
 from __future__ import annotations
@@ -19,38 +23,10 @@ import numpy as np
 
 from repro.api.registry import Algorithm, register_algorithm
 from repro.api.types import MessagePassingProgram, ProblemSpec
-from repro.graphs.chromatic import greedy_coloring
 from repro.local.dense import NodeSet, dense_values, str_rank
 from repro.local.mersenne import RandomStreams, randrange63
 from repro.local.network import Network
 from repro.local.simulator import NodeAlgorithm
-
-
-class _ColorClassMISNode(NodeAlgorithm):
-    """Processes shared color classes: class i decides in round i+1."""
-
-    def init(self) -> None:
-        self.color = self.ctx.extra["color"]
-        self.num_colors = self.ctx.extra["num_colors"]
-        self.in_mis = False
-        self.blocked = False
-        self.round = 0
-        if self.num_colors == 0:
-            self.halt(False)
-
-    def send(self) -> dict[int, object]:
-        if self.color == self.round and not self.blocked:
-            # Joining this round: announce to all neighbors.
-            self.in_mis = True
-            return {port: "joined" for port in self.ctx.ports}
-        return {}
-
-    def receive(self, messages: dict[int, object]) -> None:
-        if any(text == "joined" for text in messages.values()):
-            self.blocked = True
-        self.round += 1
-        if self.round >= self.num_colors:
-            self.halt(self.in_mis)
 
 
 class _LubyNode(NodeAlgorithm):
@@ -127,35 +103,6 @@ def joined_nodes(network: Network, outputs: Mapping) -> NodeSet:
     return NodeSet(network, np.flatnonzero(joined))
 
 
-class SupportedMIS(Algorithm):
-    """``"mis:aapr23"`` — the χ_G-round Supported LOCAL MIS.
-
-    The shared greedy coloring of the support graph is computed without
-    communication (all nodes know G); the class sweep costs one round per
-    color.
-    """
-
-    name = "mis:aapr23"
-    families = ("mis",)
-    description = "[AAPR23] χ_G-round Supported LOCAL MIS by color classes"
-
-    def program(
-        self, network: Network, spec: ProblemSpec, options: dict
-    ) -> MessagePassingProgram:
-        coloring = greedy_coloring(network)
-        return MessagePassingProgram(
-            factory=_ColorClassMISNode,
-            kernel="mis:class-sweep",
-            per_node={"color": coloring},
-            shared={"num_colors": max(coloring.values(), default=-1) + 1},
-        )
-
-    def finalize(
-        self, network: Network, spec: ProblemSpec, options: dict, outputs: Mapping
-    ) -> NodeSet:
-        return joined_nodes(network, outputs)
-
-
 class LubyMIS(Algorithm):
     """``"mis:luby"`` — Luby's randomized MIS (plain LOCAL baseline)."""
 
@@ -176,5 +123,4 @@ class LubyMIS(Algorithm):
         return joined_nodes(network, outputs)
 
 
-register_algorithm(SupportedMIS())
 register_algorithm(LubyMIS())

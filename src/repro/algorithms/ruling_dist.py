@@ -6,13 +6,15 @@ within distance β (a distance-β check costs β rounds).  §6.2's remark
 ("given a k-coloring, one can compute an α-arbdefective c-colored
 β-ruling set in O((k/((α+1)c))^{1/β}) rounds") is the sophisticated form;
 this simple sweep suffices to bracket the lower bound's *shape* in the
-experiments.
+experiments.  An MIS is a (2,1)-ruling set, so the [AAPR23] MIS
+(``"mis:aapr23"``) is this sweep at β = 1 under its own name.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 
+from repro.algorithms.coloring_dist import _checked_classes
 from repro.algorithms.mis import joined_nodes
 from repro.api.registry import Algorithm, register_algorithm
 from repro.api.types import MessagePassingProgram, ProblemSpec
@@ -100,6 +102,8 @@ class ClassSweepRulingSet(Algorithm):
         coloring = options.get("coloring")
         if coloring is None:
             coloring = greedy_coloring(network)
+        else:
+            coloring = _checked_classes(network, "coloring", coloring)
         return MessagePassingProgram(
             factory=_ClassSweepRulingNode,
             kernel="ruling-set:class-sweep",
@@ -116,4 +120,21 @@ class ClassSweepRulingSet(Algorithm):
         return joined_nodes(network, outputs)
 
 
+class SupportedMIS(ClassSweepRulingSet):
+    """``"mis:aapr23"`` — the χ_G-round Supported LOCAL MIS.
+
+    The shared greedy coloring of the support graph is computed without
+    communication (all nodes know G); the class sweep costs one round per
+    color.  An MIS spec has no β, so the inherited program runs the
+    ruling-set sweep at β = 1: a joining node's ``("ruled", 1)`` token
+    blocks its neighbors and goes no further.
+    """
+
+    name = "mis:aapr23"
+    families = ("mis",)
+    options = ()
+    description = "[AAPR23] χ_G-round Supported LOCAL MIS by color classes"
+
+
 register_algorithm(ClassSweepRulingSet())
+register_algorithm(SupportedMIS())

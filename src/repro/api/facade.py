@@ -35,7 +35,6 @@ from repro.api.types import ProblemSpec, SolveReport
 from repro.checkers import (
     CheckResult,
     check_arbdefective_coloring,
-    check_mis,
     check_proper_coloring,
     check_ruling_set,
     check_sinkless_orientation,
@@ -70,10 +69,6 @@ def _check_maximal_matching(
     return check_x_maximal_y_matching(network, solution, x=0, y=1)
 
 
-def _check_mis(network: Network | nx.Graph, spec: ProblemSpec, solution) -> CheckResult:
-    return check_mis(network, solution)
-
-
 def _check_coloring(
     network: Network | nx.Graph, spec: ProblemSpec, solution
 ) -> CheckResult:
@@ -92,6 +87,8 @@ def _check_coloring(
 def _check_ruling(
     network: Network | nx.Graph, spec: ProblemSpec, solution
 ) -> CheckResult:
+    # Also the MIS checker: an MIS spec has no β, and an MIS is a
+    # (2,1)-ruling set.
     return check_ruling_set(
         network, solution, beta=spec.param("beta", 1), independent=True
     )
@@ -137,7 +134,7 @@ FAMILY_CHECKERS: dict[
 ] = {
     "matching": _check_matching,
     "maximal-matching": _check_maximal_matching,
-    "mis": _check_mis,
+    "mis": _check_ruling,
     "coloring": _check_coloring,
     "ruling-set": _check_ruling,
     "arbdefective": _check_arbdefective,

@@ -79,13 +79,6 @@ class Problem:
             name=name or self.name,
         )
 
-    def restrict_to_used_labels(self) -> "Problem":
-        """Drop alphabet labels that appear in no configuration."""
-        used = self.white.labels | self.black.labels
-        return Problem(
-            alphabet=used, white=self.white, black=self.black, name=self.name
-        )
-
     def same_constraints(self, other: "Problem") -> bool:
         """Literal equality of constraints (labels compared as strings)."""
         return self.white == other.white and self.black == other.black

@@ -277,12 +277,6 @@ def is_relaxation_via_config_map(
     return True
 
 
-def is_trivially_self_relaxing(problem: Problem) -> bool:
-    """Sanity law: every problem relaxes itself via the identity map."""
-    identity = {label: label for label in problem.alphabet}
-    return is_relaxation_via_label_map(problem, problem, identity)
-
-
 def _ordered_targets(relaxed: Problem) -> list[tuple[Label, ...]]:
     """Every ordered form of every white configuration of the target."""
     from itertools import permutations

@@ -11,7 +11,6 @@ from collections import Counter
 
 import networkx as nx
 
-from repro.formalism.configurations import Label
 from repro.formalism.diagrams import diagram_reduction
 from repro.formalism.problems import Problem
 
@@ -66,9 +65,3 @@ def condensed_listing(problem: Problem, side: str) -> list[str]:
             parts.append(label if count == 1 else f"{label}^{count}")
         rendered.append(" ".join(parts))
     return sorted(rendered)
-
-
-def render_label_sets(sets: list[frozenset[Label]]) -> str:
-    """Render a list of label sets compactly, e.g. for lift alphabets."""
-    rendered = sorted("".join(sorted(label_set)) for label_set in sets)
-    return ", ".join(rendered)

@@ -61,8 +61,3 @@ def complete_graph(n: int) -> nx.Graph:
     """K_n: girth 3, chromatic number n — the low-girth extreme, used as a
     negative control in girth-sensitive experiments."""
     return nx.complete_graph(n)
-
-
-def complete_bipartite(a: int, b: int) -> nx.Graph:
-    """K_{a,b}: girth 4, the minimal biregular bipartite family."""
-    return nx.complete_bipartite_graph(a, b)

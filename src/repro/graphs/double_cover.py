@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import networkx as nx
 
+from repro.utils import InvalidParameterError
+
 WHITE = 0
 BLACK = 1
 #: The ``color`` attribute of each side, indexed by ``WHITE``/``BLACK``.
@@ -38,10 +40,15 @@ def bipartite_double_cover(graph: nx.Graph) -> nx.Graph:
 def mark_bipartition(graph: nx.Graph) -> nx.Graph:
     """Add white/black ``color`` attributes to a bipartite graph in place.
 
-    Uses the canonical 2-coloring of each connected component; raises if
-    the graph is not bipartite.
+    Uses the canonical 2-coloring of each connected component; raises
+    :class:`InvalidParameterError` if the graph is not bipartite.
     """
-    coloring = nx.algorithms.bipartite.color(graph)
+    try:
+        coloring = nx.algorithms.bipartite.color(graph)
+    except nx.NetworkXError:
+        raise InvalidParameterError(
+            "graph is not bipartite, so it has no white/black 2-coloring"
+        ) from None
     for node, side in coloring.items():
         graph.nodes[node]["color"] = COLORS[side]
     return graph

@@ -1,11 +1,6 @@
 """LOCAL / Supported LOCAL round-by-round simulator."""
 
-from repro.local.measurement import (
-    EngineProbe,
-    Measurement,
-    measured_run_synchronous,
-    timed,
-)
+from repro.local.measurement import EngineProbe, Measurement, timed
 from repro.local.network import Network
 from repro.local.simulator import (
     NodeAlgorithm,
@@ -13,13 +8,8 @@ from repro.local.simulator import (
     RoundTrace,
     RunResult,
     run_synchronous,
-    run_view_algorithm,
 )
-from repro.local.supported import (
-    SupportedInstance,
-    minimum_rounds,
-    run_supported_view_algorithm,
-)
+from repro.local.supported import SupportedInstance, run_supported_view_algorithm
 from repro.local.views import (
     LocalView,
     SupportedView,
@@ -40,10 +30,7 @@ __all__ = [
     "SupportedView",
     "collect_supported_view",
     "collect_view",
-    "measured_run_synchronous",
-    "minimum_rounds",
     "run_supported_view_algorithm",
     "run_synchronous",
-    "run_view_algorithm",
     "timed",
 ]

@@ -8,9 +8,11 @@ hand-rolling ``time.perf_counter()`` arithmetic.
 
 * :func:`timed` — wall-clock a callable, returning ``(value, seconds)``;
 * :class:`EngineProbe` — an ``on_round`` observer for
-  :func:`repro.local.simulator.run_synchronous` accumulating round traces;
-* :func:`measured_run_synchronous` — ``run_synchronous`` plus both of the
-  above, returning ``(RunResult, Measurement)``.
+  :func:`repro.local.simulator.run_synchronous` accumulating round traces.
+
+The façade's one execution step (:func:`repro.api.simulate` and
+:func:`repro.api.solve`) runs an engine under both and returns
+``(RunResult, Measurement)``.
 """
 
 from __future__ import annotations
@@ -19,14 +21,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.local.network import Network
-from repro.local.simulator import (
-    NodeAlgorithm,
-    NodeContext,
-    RoundTrace,
-    RunResult,
-    run_synchronous,
-)
+from repro.local.simulator import RoundTrace
 
 
 @dataclass(frozen=True)
@@ -73,25 +68,3 @@ def timed(fn: Callable, *args, **kwargs) -> tuple[object, float]:
     start = time.perf_counter()
     value = fn(*args, **kwargs)
     return value, time.perf_counter() - start
-
-
-def measured_run_synchronous(
-    network: Network,
-    factory: Callable[[NodeContext], NodeAlgorithm],
-    max_rounds: int = 10_000,
-    **kwargs,
-) -> tuple[RunResult, Measurement]:
-    """:func:`run_synchronous` instrumented with an :class:`EngineProbe`.
-
-    Accepts the same keyword arguments as ``run_synchronous`` (except
-    ``on_round``, which the probe occupies).  ``max_rounds`` is explicit —
-    not swallowed by ``**kwargs`` — because it is the non-termination
-    guard: a run that exceeds it raises
-    :class:`~repro.utils.SimulationError` instead of looping forever, and
-    harnesses routinely need to tighten it.
-    """
-    probe = EngineProbe()
-    (result, seconds) = timed(
-        run_synchronous, network, factory, max_rounds=max_rounds, on_round=probe, **kwargs
-    )
-    return result, probe.summarize(wall_seconds=seconds)

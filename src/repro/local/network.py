@@ -307,12 +307,3 @@ class Network:
         values = rng.sample(range(1, space + 1), self.n)
         nodes = sorted(self.nodes, key=str)
         return Network(graph=self.graph, ids=dict(zip(nodes, values)))
-
-    def renormalized_ids(self) -> dict:
-        """IDs recomputed to {1..n} preserving order.
-
-        §3 notes that in Supported LOCAL the ID space is w.l.o.g. {1..n}:
-        all nodes know G, so they can renormalize without communication.
-        """
-        ordered = sorted(self.ids.items(), key=lambda item: item[1])
-        return {node: index + 1 for index, (node, _value) in enumerate(ordered)}

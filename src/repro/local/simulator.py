@@ -6,9 +6,10 @@ processing its inbox.  Messages and local computation are unbounded, as in
 the model; the engine counts rounds until every node has halted with an
 output, which is how upper-bound experiments measure round complexity.
 
-A view-based runner is also provided: a T-round algorithm given as a
-function of the radius-T view (:mod:`repro.local.views`), the formulation
-used throughout the paper's proofs.
+The view formulation used throughout the paper's proofs — a T-round
+algorithm given as a function of the radius-T view
+(:mod:`repro.local.views`) — runs through
+:func:`repro.local.supported.run_supported_view_algorithm`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 from repro.local.network import Network
-from repro.local.views import LocalView, collect_view
 from repro.utils import SimulationError
 
 
@@ -192,16 +192,3 @@ def run_synchronous(
         outputs={node: algorithm.output for node, algorithm in algorithms.items()},
         rounds=rounds,
     )
-
-
-def run_view_algorithm(
-    network: Network,
-    radius: int,
-    rule: Callable[[LocalView], object],
-) -> RunResult:
-    """Run a T-round algorithm given as a function of the radius-T view."""
-    outputs = {
-        node: rule(collect_view(network, node, radius))
-        for node in network.graph.nodes
-    }
-    return RunResult(outputs=outputs, rounds=radius)

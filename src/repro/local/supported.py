@@ -82,23 +82,3 @@ def run_supported_view_algorithm(
         for node in instance.support.nodes
     }
     return RunResult(outputs=outputs, rounds=radius)
-
-
-def minimum_rounds(
-    instance: SupportedInstance,
-    rule_for_radius: Callable[[int], Callable[[SupportedView], object]],
-    is_valid: Callable[[dict], bool],
-    max_radius: int,
-) -> int | None:
-    """Smallest T for which the radius-T algorithm produces a valid output.
-
-    Used by experiments to bracket lower bounds: the paper predicts the
-    first valid T is at least the certified bound.
-    """
-    for radius in range(max_radius + 1):
-        result = run_supported_view_algorithm(
-            instance, radius, rule_for_radius(radius)
-        )
-        if is_valid(result.outputs):
-            return radius
-    return None

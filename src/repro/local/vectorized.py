@@ -332,7 +332,9 @@ class ClassSweepKernel(VectorizedAlgorithm):
     the zero-budget init halt and the collective final halt.
     """
 
-    classes_key = "color"
+    #: The ``per_node`` key of the node → class map; each subclass names
+    #: the key its node program reads.
+    classes_key: str
 
     def __init__(self, vnet, per_node, shared, rng_for=None):
         super().__init__(vnet, per_node, shared, rng_for=rng_for)
@@ -366,36 +368,6 @@ class ClassSweepKernel(VectorizedAlgorithm):
         self.sweep_receive(rnd, slots, payloads)
         if rnd >= self.total_rounds:
             self.halted[:] = True
-
-
-class ColorClassMISKernel(ClassSweepKernel):
-    """Batch form of the [AAPR23] color-class sweep (``mis:aapr23``).
-
-    Knowledge: per node its ``color`` class; shared, ``num_colors``.
-    Color class ``c`` joins in engine round ``c + 1`` unless blocked by
-    an earlier-class neighbor; everyone halts together after
-    ``num_colors`` rounds.
-    """
-
-    def __init__(self, vnet, per_node, shared, rng_for=None):
-        super().__init__(vnet, per_node, shared, rng_for=rng_for)
-        self.in_mis = np.zeros(vnet.n, dtype=bool)
-        self.blocked = np.zeros(vnet.n, dtype=bool)
-
-    def round_budget(self):
-        return self.shared["num_colors"]
-
-    def sweep_send(self, rnd):
-        joiners = (self.cls == rnd - 1) & ~self.blocked & ~self.halted
-        self.in_mis |= joiners
-        edges = np.flatnonzero(joiners[self.vnet.owner])
-        return edges, None
-
-    def sweep_receive(self, rnd, slots, payloads):
-        self.blocked[self.vnet.owner[slots]] = True
-
-    def outputs_all(self):
-        return self.in_mis
 
 
 class ColoringSweepKernel(ClassSweepKernel):
@@ -655,7 +627,6 @@ class LubyMISKernel(VectorizedAlgorithm):
 
 
 register_kernel("matching:proposal", ProposalMatchingKernel)
-register_kernel("mis:class-sweep", ColorClassMISKernel)
 register_kernel("mis:luby", LubyMISKernel)
 register_kernel("coloring:class-sweep", ColoringSweepKernel)
 register_kernel("ruling-set:class-sweep", RulingSweepKernel)

@@ -193,9 +193,3 @@ def build_problem(family: str, **parameters: int) -> Problem:
             f"({', '.join(sorted(normalized)) or 'none'})"
         ) from None
     return constructor(**normalized)
-
-
-def build_problem_from_spec(spec: str) -> Problem:
-    """Construct a problem from a spec string like ``"matching:Δ=4,x=0,y=1"``."""
-    family, parameters = parse_spec(spec)
-    return build_problem(family, **parameters)

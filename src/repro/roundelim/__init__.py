@@ -12,7 +12,6 @@ from repro.roundelim.operators import (
     apply_R,
     apply_R_bar,
     compress_labels,
-    decode_label_sets,
     maximal_set_configurations,
     round_elimination,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "apply_R_bar",
     "compress_labels",
     "constant_sequence",
-    "decode_label_sets",
     "is_fixed_point",
     "is_fixed_point_up_to_relaxation",
     "maximal_set_configurations",

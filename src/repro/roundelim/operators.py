@@ -39,7 +39,7 @@ from itertools import product
 
 from repro.formalism.configurations import Configuration, Label
 from repro.formalism.constraints import Constraint
-from repro.formalism.labels import set_label, set_label_members
+from repro.formalism.labels import set_label
 from repro.formalism.problems import Problem
 from repro.utils import InvalidParameterError, SolverLimitError
 from repro.utils.multiset import all_multisets
@@ -276,8 +276,3 @@ def compress_labels(
     ordered = sorted(problem.alphabet)
     mapping = {label: f"{prefix}{index}" for index, label in enumerate(ordered)}
     return problem.rename(mapping, name=problem.name), mapping
-
-
-def decode_label_sets(problem: Problem) -> dict[Label, frozenset[Label]]:
-    """Decode every set label of an R/R̄ output back to its member set."""
-    return {label: set_label_members(label) for label in problem.alphabet}

@@ -8,7 +8,7 @@ decided by a pure-python CDCL solver under the shared
 :class:`~repro.solvers.budget.SolverBudget` contract.
 """
 
-from repro.solvers.sat.cnf import CnfFormula, parse_dimacs
+from repro.solvers.sat.cnf import CnfFormula
 from repro.solvers.sat.encode import LabelingEncoding, encode_csp
 from repro.solvers.sat.labeling import (
     SatLabelingSolver,
@@ -31,5 +31,4 @@ __all__ = [
     "check_rup_proof",
     "encode_csp",
     "expand_orbit",
-    "parse_dimacs",
 ]

@@ -126,46 +126,3 @@ class CnfFormula:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"CnfFormula(vars={self.num_vars}, clauses={self.num_clauses})"
-
-
-def parse_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS CNF text into a :class:`CnfFormula`.
-
-    Variable keys become plain ints 1..n (the original keys live only in
-    comments); the header's variable count is honored even when some
-    variables never occur in a clause.
-    """
-    formula = CnfFormula()
-    declared: tuple[int, int] | None = None
-    pending: list[int] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise InvalidParameterError(f"bad DIMACS header: {raw!r}")
-            declared = (int(parts[2]), int(parts[3]))
-            for index in range(1, declared[0] + 1):
-                formula.var(index)
-            continue
-        if declared is None:
-            raise InvalidParameterError("DIMACS clauses before the p-header")
-        for token in line.split():
-            value = int(token)
-            if value == 0:
-                formula.add_clause(pending)
-                pending = []
-            else:
-                if abs(value) > declared[0]:
-                    raise InvalidParameterError(
-                        f"literal {value} exceeds declared variable count "
-                        f"{declared[0]}"
-                    )
-                pending.append(value)
-    if pending:
-        raise InvalidParameterError("DIMACS text ends mid-clause (missing 0)")
-    if declared is None:
-        raise InvalidParameterError("DIMACS text has no p-header")
-    return formula

@@ -9,7 +9,6 @@ the formalism-specific layer on top of it.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from itertools import combinations_with_replacement
 from typing import TypeVar
@@ -25,18 +24,6 @@ def canonical(items: Iterable[T]) -> tuple[T, ...]:
 def is_submultiset(small: Mapping[T, int], big: Mapping[T, int]) -> bool:
     """Return True if ``small`` is contained in ``big`` with multiplicities."""
     return all(big.get(item, 0) >= count for item, count in small.items())
-
-
-def multiset_difference(big: Mapping[T, int], small: Mapping[T, int]) -> Counter[T]:
-    """Return ``big - small`` assuming ``small`` is a sub-multiset of ``big``."""
-    if not is_submultiset(small, big):
-        raise ValueError(f"{small!r} is not a sub-multiset of {big!r}")
-    result: Counter[T] = Counter()
-    for item, count in big.items():
-        remaining = count - small.get(item, 0)
-        if remaining > 0:
-            result[item] = remaining
-    return result
 
 
 def replace_one(items: tuple[T, ...], old: T, new: T) -> tuple[T, ...]:
@@ -59,20 +46,6 @@ def all_multisets(universe: Iterable[T], size: int) -> Iterator[tuple[T, ...]]:
     """
     ordered = sorted(set(universe))
     yield from combinations_with_replacement(ordered, size)
-
-
-def multiset_count(universe_size: int, size: int) -> int:
-    """Number of multisets of cardinality ``size`` over a universe.
-
-    This is the standard stars-and-bars count C(universe_size + size - 1,
-    size); used by solvers to decide whether explicit materialization of a
-    constraint is feasible.
-    """
-    from math import comb
-
-    if universe_size == 0:
-        return 1 if size == 0 else 0
-    return comb(universe_size + size - 1, size)
 
 
 def submultisets(items: Mapping[T, int], size: int) -> Iterator[tuple[T, ...]]:

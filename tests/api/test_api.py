@@ -10,7 +10,6 @@ from repro.local import Network, RunResult
 from repro.problems.registry import (
     available_families,
     build_problem,
-    build_problem_from_spec,
     family_parameters,
     parse_spec,
 )
@@ -56,10 +55,6 @@ class TestSpecParsing:
     def test_duplicate_after_aliasing_rejected(self):
         with pytest.raises(InvalidParameterError, match="twice"):
             parse_spec("matching:Δ=4,delta=5,x=0,y=1")
-
-    def test_build_problem_from_spec(self):
-        problem = build_problem_from_spec("matching:Δ=4,x=0,y=1")
-        assert problem.name == "Π_4(0,1)"
 
     def test_build_problem_missing_parameters_lists_expected(self):
         with pytest.raises(InvalidParameterError) as exc:
@@ -249,6 +244,84 @@ class TestSolve:
                     )
                 assert api.error_code(exc.value) == "bad-parameter"
                 assert f"input edge {named!r} is not an edge" in str(exc.value)
+
+    @pytest.mark.parametrize("engine", ["object", "vectorized"])
+    @pytest.mark.parametrize(
+        "problem,algorithm,options,graph,message",
+        [
+            (
+                "coloring:Δ=2", "coloring:class-sweep",
+                {"initial_coloring": {0: 0}}, nx.cycle_graph(4),
+                "option 'initial_coloring' has no class for node 1",
+            ),
+            (
+                "ruling-set:Δ=2,β=2", "ruling-set:class-sweep",
+                {"coloring": {0: 0}}, nx.cycle_graph(4),
+                "option 'coloring' has no class for node 1",
+            ),
+            (
+                "arbdefective:Δ=2,c=2", "arbdefective:class-sweep",
+                {"proper_coloring": {0: 0}}, nx.cycle_graph(4),
+                "option 'proper_coloring' has no class for node 1",
+            ),
+            (
+                "coloring:Δ=2", "coloring:class-sweep",
+                {"initial_coloring": {0: 0, 1: "a", 2: 0, 3: 1}}, nx.cycle_graph(4),
+                "gives node 1 the class 'a', which is not an integer",
+            ),
+            (
+                "coloring:Δ=2", "coloring:class-sweep",
+                {"initial_coloring": {0: 0, 1: 1.5, 2: 0, 3: 1}}, nx.cycle_graph(4),
+                "gives node 1 the class 1.5, which is not an integer",
+            ),
+            (
+                "ruling-set:Δ=2,β=2", "ruling-set:class-sweep",
+                {"coloring": {0: 0, 1: 1.5, 2: 0, 3: 1}}, nx.cycle_graph(4),
+                "gives node 1 the class 1.5, which is not an integer",
+            ),
+            (
+                "coloring:Δ=2", "coloring:class-sweep",
+                {"initial_coloring": [0, 1, 0, 1]}, nx.cycle_graph(4),
+                "option 'initial_coloring' must map nodes to classes, got list",
+            ),
+            (
+                "maximal-matching:Δ=2", "matching:proposal",
+                {}, nx.cycle_graph(3),
+                "graph is not bipartite",
+            ),
+        ],
+        ids=[
+            "initial-coloring-missing-node", "coloring-missing-node",
+            "proper-coloring-missing-node", "str-class", "fractional-class",
+            "fractional-ruling-class", "list-not-map", "odd-cycle-matching",
+        ],
+    )
+    def test_caller_input_refused_before_any_engine_runs(
+        self, engine, problem, algorithm, options, graph, message
+    ):
+        """A caller's coloring must give every node an integer class, and
+        the proposal matching needs a 2-colorable graph.  These used to
+        escape as ``KeyError``, ``TypeError``, ``AttributeError`` or
+        networkx's ``NetworkXError`` (all ``internal``), or, for a class
+        of 1.5, run 3 rounds on the object engine and 2 on the vectorized
+        one."""
+        with pytest.raises(InvalidParameterError) as exc:
+            api.solve(problem, algorithm=algorithm, engine=engine, graph=graph, **options)
+        assert api.error_code(exc.value) == "bad-parameter"
+        assert message in str(exc.value)
+
+    def test_proper_coloring_classes_need_not_be_integers(self):
+        """The arbdefective sweep only compares and ranks its base classes."""
+        proper = {0: "a", 1: "b", 2: "a", 3: "b"}
+        reports = [
+            api.solve(
+                "arbdefective:Δ=2,c=2", algorithm="arbdefective:class-sweep",
+                engine=engine, graph=nx.cycle_graph(4), proper_coloring=proper,
+            )
+            for engine in ("object", "vectorized")
+        ]
+        assert reports[0].valid is True
+        assert reports[0].canonical_json() == reports[1].canonical_json()
 
     def test_global_algorithm_zero_rounds(self):
         report = api.solve(

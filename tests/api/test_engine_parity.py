@@ -112,6 +112,66 @@ def test_identical_reports_on_irregular_random_graphs(seed, build, algorithm):
         assert report.outputs == reference.outputs
 
 
+#: (id, seed, builder) of irregular bipartite graphs for the proposal
+#: matching, which needs a 2-coloring and so cannot run on
+#: IRREGULAR_GRAPHS: three random bipartite draws B(24, 24, 0.1), id'd by
+#: their seed, a star K_{1,200}, a path P_9 and a disconnected union of an
+#: 8-cycle, a 5-path and four isolated nodes.
+IRREGULAR_BIPARTITE_GRAPHS = [
+    *(
+        (
+            str(seed),
+            seed,
+            lambda seed=seed: nx.bipartite.random_graph(24, 24, 0.1, seed=seed),
+        )
+        for seed in (1, 2, 3)
+    ),
+    ("star-200", 0, lambda: nx.star_graph(200)),
+    ("path-9", 0, lambda: nx.path_graph(9)),
+    (
+        "cycle-path-isolated",
+        0,
+        lambda: nx.disjoint_union_all(
+            [nx.cycle_graph(8), nx.path_graph(5), nx.empty_graph(4)]
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "seed,build", [case[1:] for case in IRREGULAR_BIPARTITE_GRAPHS],
+    ids=[case[0] for case in IRREGULAR_BIPARTITE_GRAPHS],
+)
+@pytest.mark.parametrize("restricted", [False, True], ids=["G", "every-other-edge"])
+def test_identical_matchings_on_irregular_bipartite_graphs(seed, build, restricted):
+    """Matching parity beyond regular covers, on G and on G′ = every other
+    edge of G in ``str`` order.  Only the runs on G must be valid: the
+    checker judges maximality on G, so a matching that is maximal on G′
+    may fail it — with the same reason on both engines."""
+    graph = build()
+    delta = max((d for _n, d in graph.degree), default=0)
+    options = {}
+    if restricted:
+        options["input_edges"] = sorted(graph.edges, key=str)[::2]
+    reports = {
+        engine: api.solve(
+            f"maximal-matching:Δ={max(delta, 2)}",
+            algorithm="matching:proposal",
+            engine=engine,
+            graph=graph,
+            seed=seed,
+            **options,
+        )
+        for engine in api.available_engines()
+    }
+    reference = reports["object"]
+    if not restricted:
+        assert reference.valid is True
+    for report in reports.values():
+        assert report.canonical_json() == reference.canonical_json()
+        assert report.outputs == reference.outputs
+
+
 def _sender(messages_factory):
     """A probe algorithm: every node emits ``messages_factory()`` once and
     halts with whatever its inbox was (so delivery itself is compared)."""

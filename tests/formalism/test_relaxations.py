@@ -7,7 +7,6 @@ from repro.formalism.relaxations import (
     find_label_relaxation,
     is_relaxation_via_config_map,
     is_relaxation_via_label_map,
-    is_trivially_self_relaxing,
     receiver_sets,
 )
 from repro.utils import FormalismError
@@ -19,9 +18,6 @@ def matching():
 
 
 class TestLabelMapRelaxation:
-    def test_identity_relaxes(self, matching):
-        assert is_trivially_self_relaxing(matching)
-
     def test_missing_labels_raise(self, matching):
         with pytest.raises(FormalismError):
             is_relaxation_via_label_map(matching, matching, {"M": "M"})

@@ -12,7 +12,6 @@ from repro.formalism.problems import problem_from_lines
 from repro.formalism.rendering import (
     condensed_listing,
     render_diagram,
-    render_label_sets,
     render_problem,
 )
 from repro.problems import maximal_matching_problem
@@ -90,14 +89,3 @@ class TestRenderDiagram:
         assert render_diagram(graph) == (
             "diagram:\n  labels: A, B\n  strength relation: (empty)"
         )
-
-
-class TestRenderLabelSets:
-    def test_compact_sorted_rendering(self):
-        rendered = render_label_sets(
-            [frozenset({"O", "M"}), frozenset({"P"}), frozenset({"M"})]
-        )
-        assert rendered == "M, MO, P"
-
-    def test_empty_list(self):
-        assert render_label_sets([]) == ""

@@ -14,7 +14,6 @@ from repro.graphs import (
     biregular_tree,
     cage,
     chromatic_lower_bound_from_independence,
-    complete_bipartite,
     complete_graph,
     cycle,
     exact_chromatic_number,
@@ -31,7 +30,7 @@ from repro.graphs import (
     random_regular_with_girth,
     theorem_b2_budget,
 )
-from repro.utils import GraphConstructionError
+from repro.utils import GraphConstructionError, InvalidParameterError
 
 
 class TestGirth:
@@ -41,7 +40,7 @@ class TestGirth:
             (lambda: cycle(5), 5),
             (lambda: cycle(8), 8),
             (lambda: complete_graph(4), 3),
-            (lambda: complete_bipartite(2, 3), 4),
+            (lambda: nx.complete_bipartite_graph(2, 3), 4),
             (lambda: nx.path_graph(5), math.inf),
         ],
     )
@@ -128,7 +127,7 @@ class TestDoubleCover:
         assert colors == {"white", "black"}
 
     def test_mark_bipartition_raises_on_odd_cycle(self):
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidParameterError, match="not bipartite"):
             mark_bipartition(cycle(5))
 
 

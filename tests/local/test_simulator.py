@@ -1,7 +1,5 @@
 """Tests for the LOCAL / Supported LOCAL simulator."""
 
-import inspect
-
 import networkx as nx
 import pytest
 
@@ -13,10 +11,9 @@ from repro.local import (
     SupportedInstance,
     collect_supported_view,
     collect_view,
-    measured_run_synchronous,
     run_supported_view_algorithm,
     run_synchronous,
-    run_view_algorithm,
+    timed,
 )
 from repro.utils import LocalityViolationError, SimulationError
 
@@ -36,15 +33,6 @@ class TestNetwork:
     def test_random_ids_distinct(self):
         network = Network(graph=cycle(6)).with_random_ids(seed=1)
         assert len(set(network.ids.values())) == 6
-
-    def test_renormalized_ids(self):
-        network = Network(graph=cycle(6)).with_random_ids(seed=2)
-        renormalized = network.renormalized_ids()
-        assert sorted(renormalized.values()) == list(range(1, 7))
-        # Order preserved.
-        original_order = sorted(network.ids, key=lambda n: network.ids[n])
-        renorm_order = sorted(renormalized, key=lambda n: renormalized[n])
-        assert original_order == renorm_order
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(SimulationError):
@@ -131,14 +119,6 @@ class TestViews:
         with pytest.raises(LocalityViolationError):
             view.id_of(4)
 
-    def test_view_algorithm_runner(self):
-        network = Network(graph=cycle(6))
-        result = run_view_algorithm(
-            network, radius=1, rule=lambda view: len(view.subgraph)
-        )
-        assert result.rounds == 1
-        assert all(value == 3 for value in result.outputs.values())
-
 
 class TestSupportedViews:
     def test_support_graph_fully_visible(self):
@@ -214,11 +194,14 @@ class TestInitHalting:
         # C4 with IDs 1..4 on nodes 0..3: halt the even nodes in init.
         network = Network(graph=cycle(4))
         halted_nodes = {node for node in network.graph.nodes if node % 2 == 0}
-        result, measurement = measured_run_synchronous(
+        probe = EngineProbe()
+        result = run_synchronous(
             network,
             _InitHalter,
             extra=lambda node: {"halts_in_init": node in halted_nodes},
+            on_round=probe,
         )
+        measurement = probe.summarize()
         assert result.rounds == 1
         for node in halted_nodes:
             assert result.outputs[node] == "init-halted"
@@ -233,11 +216,14 @@ class TestInitHalting:
         # C6 with a single init-halted node: its two neighbors lose one
         # inbox entry each; everyone else has a full inbox.
         network = Network(graph=cycle(6))
-        result, measurement = measured_run_synchronous(
+        probe = EngineProbe()
+        result = run_synchronous(
             network,
             _InitHalter,
             extra=lambda node: {"halts_in_init": node == 0},
+            on_round=probe,
         )
+        measurement = probe.summarize()
         assert result.outputs[0] == "init-halted"
         assert result.outputs[1] == ["ping"]   # lost the message from 0
         assert result.outputs[5] == ["ping"]
@@ -288,7 +274,9 @@ class TestMeasurement:
 
     def test_measured_run_summary(self):
         network = Network(graph=cycle(4))
-        result, measurement = measured_run_synchronous(network, _EchoIds)
+        probe = EngineProbe()
+        result, seconds = timed(run_synchronous, network, _EchoIds, on_round=probe)
+        measurement = probe.summarize(wall_seconds=seconds)
         assert measurement.rounds == result.rounds
         assert measurement.wall_seconds > 0
         assert measurement.peak_live_nodes == 4
@@ -298,24 +286,3 @@ class TestMeasurement:
             "messages_dropped": 0,
             "peak_live_nodes": 4,
         }
-
-
-class TestMeasuredRunMaxRounds:
-    """max_rounds is an explicit guard threaded through the measured entry
-    point (not swallowed by **kwargs)."""
-
-    def test_non_terminating_run_raises(self):
-        class Forever(NodeAlgorithm):
-            def send(self):
-                return {}
-
-            def receive(self, messages):
-                pass
-
-        network = Network(graph=cycle(3))
-        with pytest.raises(SimulationError, match="did not halt within 7"):
-            measured_run_synchronous(network, Forever, max_rounds=7)
-
-    def test_default_guard_is_finite(self):
-        signature = inspect.signature(measured_run_synchronous)
-        assert signature.parameters["max_rounds"].default == 10_000

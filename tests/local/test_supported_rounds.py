@@ -1,53 +1,34 @@
-"""Round-complexity bracketing via the Supported LOCAL view runner,
-plus rendering round-trips."""
-
-import pytest
+"""How far the Supported LOCAL view runner sees, plus rendering
+round-trips."""
 
 from repro.formalism import render_diagram, render_problem, black_diagram
 from repro.graphs import cycle
-from repro.local import SupportedInstance, minimum_rounds
+from repro.local import SupportedInstance, run_supported_view_algorithm
 from repro.problems import maximal_matching_problem
 
 
-class TestMinimumRounds:
+class TestViewRadius:
     def test_component_detection_needs_radius(self):
-        """Toy task: every node must report the exact number of input
-        edges within its view; with the full cycle as input this needs
-        radius ⌈n/2⌉ to see everything, and minimum_rounds finds the
-        smallest sufficient radius for a weaker target."""
+        """Toy task: every node reports the number of input edges within
+        its view.  With the whole cycle as input, what a node can count
+        grows with the radius T the runner grants it."""
         graph = cycle(8)
         instance = SupportedInstance.from_graphs(graph, list(graph.edges))
 
-        def rule_for_radius(radius):
-            def rule(view):
-                # Count visible input edges (marks within the radius).
-                seen = set()
-                for edge, marked in view._visible_marks.items():
-                    if marked:
-                        seen.add(edge)
-                return len(seen)
+        def rule(view):
+            # Count visible input edges (marks within the radius).
+            seen = set()
+            for edge, marked in view._visible_marks.items():
+                if marked:
+                    seen.add(edge)
+            return len(seen)
 
-            return rule
-
-        def is_valid(outputs):
-            # Valid once every node sees at least 5 of the 8 edges.
-            return all(count >= 5 for count in outputs.values())
-
-        rounds = minimum_rounds(instance, rule_for_radius, is_valid, max_radius=4)
-        # Radius T sees edges incident to nodes within distance T:
-        # 2T + 1 edges on a cycle → need T = 2 for ≥ 5.
-        assert rounds == 2
-
-    def test_unachievable_returns_none(self):
-        graph = cycle(6)
-        instance = SupportedInstance.from_graphs(graph, [list(graph.edges)[0]])
-        rounds = minimum_rounds(
-            instance,
-            lambda radius: (lambda view: 0),
-            lambda outputs: False,
-            max_radius=2,
-        )
-        assert rounds is None
+        # Radius T sees the edges incident to the 2T + 1 nodes within
+        # distance T: 2T + 2 edges on a cycle.
+        for radius, visible in [(1, 4), (2, 6)]:
+            result = run_supported_view_algorithm(instance, radius, rule)
+            assert result.rounds == radius
+            assert set(result.outputs.values()) == {visible}
 
 
 class TestRendering:

@@ -11,7 +11,6 @@ from repro.roundelim.operators import (
     apply_R,
     apply_R_bar,
     compress_labels,
-    decode_label_sets,
     maximal_set_configurations,
     round_elimination,
 )
@@ -148,13 +147,13 @@ class TestApplyR:
         result = apply_R(so)
         assert len(result.black) == 1
         assert len(result.white) == 3
-        decoded = decode_label_sets(result)
+        decoded = {label: set_label_members(label) for label in result.alphabet}
         assert set(decoded.values()) == {frozenset("O"), frozenset("I")}
 
     def test_white_configs_have_choice_in_base(self):
         so = sinkless_orientation_problem(3)
         result = apply_R(so)
-        decoded = decode_label_sets(result)
+        decoded = {label: set_label_members(label) for label in result.alphabet}
         from itertools import product
 
         for config in result.white:

@@ -201,6 +201,29 @@ class TestSolveOptions:
         assert response["error"]["code"] == "bad-parameter"
         assert "is not an edge of the support graph" in response["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "spec,algorithm,option",
+        [
+            ("coloring:delta=3,colors=4", "coloring:class-sweep", "initial_coloring"),
+            ("ruling-set:delta=3,colors=1,beta=2", "ruling-set:class-sweep", "coloring"),
+            ("arbdefective:delta=4,colors=2", "arbdefective:class-sweep", "proper_coloring"),
+        ],
+        ids=["initial_coloring", "coloring", "proper_coloring"],
+    )
+    def test_coloring_keyed_by_strings(self, service, spec, algorithm, option):
+        """JSON object keys are strings, so a coloring sent over the wire
+        names none of a default network's int nodes; it used to answer
+        ``internal`` (a bare ``KeyError: 0``)."""
+        coloring = {str(node): node % 2 for node in range(16)}
+        response = service.submit(
+            solve_request(spec, algorithm=algorithm, n=16, options={option: coloring})
+        )
+        assert response["status"] == "error"
+        assert response["error"]["code"] == "bad-parameter"
+        message = response["error"]["message"]
+        assert repr(option) in message
+        assert "node 0" in message
+
 
 class TestLifecycle:
     def test_closed_service_rejects(self):

@@ -1,5 +1,6 @@
 """Unit and property tests for the multiset primitives."""
 
+import math
 from collections import Counter
 
 import pytest
@@ -10,8 +11,6 @@ from repro.utils.multiset import (
     all_multisets,
     canonical,
     is_submultiset,
-    multiset_count,
-    multiset_difference,
     replace_one,
     submultisets,
 )
@@ -34,17 +33,6 @@ class TestSubmultiset:
         assert is_submultiset(Counter("AA"), Counter("AAB"))
         assert not is_submultiset(Counter("AAA"), Counter("AAB"))
 
-    @given(items, items)
-    def test_difference_inverts(self, big_list, small_list):
-        big = Counter(big_list + small_list)
-        small = Counter(small_list)
-        difference = multiset_difference(big, small)
-        assert difference + small == big
-
-    def test_difference_rejects_non_subset(self):
-        with pytest.raises(ValueError):
-            multiset_difference(Counter("A"), Counter("B"))
-
 
 class TestReplaceOne:
     def test_replaces_exactly_one(self):
@@ -59,7 +47,8 @@ class TestEnumeration:
     def test_all_multisets_count_matches_formula(self):
         for universe, size in [("AB", 3), ("ABC", 2), ("ABCD", 4)]:
             enumerated = list(all_multisets(universe, size))
-            assert len(enumerated) == multiset_count(len(universe), size)
+            # Stars and bars: C(|U| + k − 1, k) multisets of size k.
+            assert len(enumerated) == math.comb(len(universe) + size - 1, size)
             assert len(set(enumerated)) == len(enumerated)
 
     def test_all_multisets_canonical(self):
