@@ -60,9 +60,11 @@ def _checked_classes(
     The sweeps read the map by the network's own node labels, so it must
     give every node an entry (over the wire JSON keys are strings, which
     name no int or tuple node).  With ``integral`` each class must be an
-    integer: class ``c`` takes its turn in round ``c + 1``, so a
-    fractional class would never act on the object engine and would be
-    truncated on the vectorized one.  Raises
+    int64: class ``c`` takes its turn in round ``c + 1``, so a fractional
+    class would never act on the object engine and would be truncated on
+    the vectorized one, which holds classes as int64.  Every class must
+    be hashable: the arbdefective sweep ranks the distinct classes of a
+    set.  Raises
     :class:`InvalidParameterError` naming the option and the first node
     of ``network.nodes`` at fault.  Only caller maps come here; the
     shared greedy coloring needs no check.
@@ -77,12 +79,28 @@ def _checked_classes(
             raise InvalidParameterError(
                 f"option {option!r} has no class for node {node!r}"
             )
-        if integral and not isinstance(classes[node], numbers.Integral):
-            raise InvalidParameterError(
-                f"option {option!r} gives node {node!r} the class "
-                f"{classes[node]!r}, which is not an integer"
-            )
+        value = classes[node]
+        if integral and not isinstance(value, numbers.Integral):
+            fault = "is not an integer"
+        elif integral and not -(2**63) <= value < 2**63:
+            fault = "is outside the int64 range"
+        elif not _hashable(value):
+            fault = "is not hashable"
+        else:
+            continue
+        raise InvalidParameterError(
+            f"option {option!r} gives node {node!r} the class "
+            f"{value!r}, which {fault}"
+        )
     return classes
+
+
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
 
 
 class ClassSweepColoring(Algorithm):

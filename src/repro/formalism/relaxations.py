@@ -56,17 +56,8 @@ def is_relaxation_via_label_map(
     return True
 
 
-def _partial_image_extendable(
-    partial_image: Counter[Label], total_size: int, constraint
-) -> bool:
-    """Prune: can a partially-mapped configuration image still land inside
-    ``constraint``?  True iff some allowed configuration contains the image
-    of the already-mapped positions."""
-    return constraint.allows_partial(partial_image, sum(partial_image.values()))
-
-
 def find_label_relaxation(
-    strict: Problem, relaxed: Problem, *, backend: str | None = None
+    strict: Problem, relaxed: Problem
 ) -> dict[Label, Label] | None:
     """Complete search for a label map witnessing relaxation.
 
@@ -75,17 +66,7 @@ def find_label_relaxation(
     None here does not by itself refute relaxation, so callers that need
     refutation should fall back to :func:`is_relaxation_via_config_map`
     with candidate maps or to semantic arguments.
-
-    ``backend="sat"`` compiles the map search to CNF (one-hot map
-    variables, blocking clauses from the relaxed problem's
-    partial-extension tables) and decides it with the CDCL solver; both
-    backends agree on existence, though they may return different
-    witnesses.
     """
-    from repro.solvers.backends import resolve_backend
-
-    if resolve_backend(backend) == "sat":
-        return _find_label_relaxation_sat(strict, relaxed)
     source_labels = sorted(strict.white.labels | strict.black.labels)
     target_labels = sorted(relaxed.alphabet)
     if not source_labels:
@@ -95,17 +76,19 @@ def find_label_relaxation(
     black_configs = list(strict.black)
 
     def viable(mapping: dict[Label, Label]) -> bool:
+        """Prune: can every partially mapped configuration still land
+        inside the relaxed constraint?"""
         for config in white_configs:
             partial = Counter(
                 mapping[label] for label in config if label in mapping
             )
-            if not _partial_image_extendable(partial, config.size, relaxed.white):
+            if not relaxed.white.allows_partial(partial, sum(partial.values())):
                 return False
         for config in black_configs:
             partial = Counter(
                 mapping[label] for label in config if label in mapping
             )
-            if not _partial_image_extendable(partial, config.size, relaxed.black):
+            if not relaxed.black.allows_partial(partial, sum(partial.values())):
                 return False
         return True
 
@@ -131,95 +114,6 @@ def find_label_relaxation(
         return None
 
     return backtrack(0, {})
-
-
-def _find_label_relaxation_sat(
-    strict: Problem, relaxed: Problem
-) -> dict[Label, Label] | None:
-    """The SAT path of :func:`find_label_relaxation`.
-
-    Variables ``("m", s, t)`` one-hot-select the image of each used
-    source label; per strict configuration, a DFS over its *distinct*
-    labels' image choices emits a blocking clause at the first prefix
-    whose induced image multiset the relaxed constraint table rejects.
-    The decoded witness is re-verified through
-    :func:`is_relaxation_via_label_map` before being returned.
-    """
-    from repro.formalism.encoding import ConstraintTable, LabelEncoding
-    from repro.solvers.sat.cnf import CnfFormula
-    from repro.solvers.sat.solver import CdclSolver
-
-    source_labels = sorted(strict.white.labels | strict.black.labels)
-    target_labels = sorted(relaxed.alphabet)
-    if not source_labels:
-        return {}
-    if not target_labels:
-        return None
-    encoding = LabelEncoding.for_alphabet(relaxed.alphabet)
-    tables = {
-        "white": ConstraintTable.compile(relaxed.white, encoding),
-        "black": ConstraintTable.compile(relaxed.black, encoding),
-    }
-    formula = CnfFormula()
-    selector = {
-        (source, code): formula.var(("m", source, target))
-        for source in source_labels
-        for code, target in enumerate(target_labels)
-    }
-    for source in source_labels:
-        row = [selector[(source, code)] for code in range(len(target_labels))]
-        formula.add_clause(row)
-        for first in range(len(row)):
-            for second in range(first + 1, len(row)):
-                formula.add_clause([-row[first], -row[second]])
-
-    def encode_config(config: Configuration, side: str) -> None:
-        table = tables[side]
-        items = sorted(config.counter.items())  # (label, multiplicity)
-        chosen: list[int] = []
-
-        def blocking() -> list[int]:
-            return [
-                -selector[(items[position][0], chosen[position])]
-                for position in range(len(chosen))
-            ]
-
-        def visit(depth: int) -> None:
-            image: list[int] = []
-            for position in range(depth):
-                image.extend([chosen[position]] * items[position][1])
-            image.sort()
-            if depth == len(items):
-                if not table.allows(tuple(image)):
-                    formula.add_clause(blocking())
-                return
-            if not table.extends(tuple(image)):
-                formula.add_clause(blocking())
-                return
-            for code in range(len(target_labels)):
-                chosen.append(code)
-                visit(depth + 1)
-                chosen.pop()
-
-        visit(0)
-
-    for config in strict.white:
-        encode_config(config, "white")
-    for config in strict.black:
-        encode_config(config, "black")
-
-    solver = CdclSolver(formula, seed=formula.digest())
-    if not solver.solve():
-        return None
-    model = solver.model()
-    mapping = {}
-    for source in source_labels:
-        for code, target in enumerate(target_labels):
-            if model[selector[(source, code)]]:
-                mapping[source] = target
-                break
-    assert is_relaxation_via_label_map(strict, relaxed, mapping)
-    return mapping
 
 
 ConfigMap = Mapping[tuple[Label, ...], tuple[Label, ...]]

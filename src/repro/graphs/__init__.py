@@ -9,7 +9,6 @@ from repro.graphs.analysis import SupportGraphReport, analyze_support_graph
 from repro.graphs.cages import (
     available_cages,
     cage,
-    complete_graph,
     cycle,
 )
 from repro.graphs.chromatic import (
@@ -48,7 +47,6 @@ __all__ = [
     "biregular_tree",
     "cage",
     "chromatic_lower_bound_from_independence",
-    "complete_graph",
     "cycle",
     "exact_chromatic_number",
     "exact_girth",

@@ -55,9 +55,3 @@ def cycle(n: int) -> nx.Graph:
     if n < 3:
         raise GraphConstructionError(f"a cycle needs ≥ 3 nodes, got {n}")
     return nx.cycle_graph(n)
-
-
-def complete_graph(n: int) -> nx.Graph:
-    """K_n: girth 3, chromatic number n — the low-girth extreme, used as a
-    negative control in girth-sensitive experiments."""
-    return nx.complete_graph(n)

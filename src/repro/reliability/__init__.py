@@ -14,7 +14,7 @@ and hung workers, and dropped connections:
   for the disk tiers;
 * :mod:`repro.reliability.supervise` — :class:`SupervisedWorkerPool`:
   worker restart with exactly-once re-dispatch, per-request deadlines
-  (stable ``timeout`` wire code), SAT→CSP degradation;
+  (stable ``timeout`` wire code);
 * :mod:`repro.reliability.chaos` — the harness asserting the byte-parity
   invariant over seeded fault schedules, with greedy plan minimization;
 * :mod:`repro.reliability.cli` — ``python -m repro.reliability``
@@ -44,7 +44,6 @@ from repro.reliability.faults import (
     FAULT_KINDS,
     FAULT_SITES,
     PLAN_SCHEMA,
-    BackendCrashFault,
     FaultClock,
     FaultPlan,
     FaultSpec,
@@ -71,7 +70,6 @@ __all__ = [
     "PLAN_SCHEMA",
     "QUARANTINE_DIR",
     "SCENARIOS",
-    "BackendCrashFault",
     "CorruptEntryError",
     "FaultClock",
     "FaultPlan",

@@ -56,12 +56,7 @@ SCENARIOS = ("service", "explore", "transport")
 #: Sites that can fire during each scenario (used both to derive seeded
 #: plans that actually bite and to bound warm-pass recompute claims).
 SCENARIO_SITES = {
-    "service": (
-        "cache.write",
-        "cache.manifest",
-        "worker.exec",
-        "worker.solver",
-    ),
+    "service": ("cache.write", "cache.manifest", "worker.exec"),
     "explore": ("store.write",),
     "transport": ("client.send", "client.recv", "worker.exec", "cache.write"),
 }
@@ -71,8 +66,7 @@ def _workload() -> list[dict]:
     """The scripted request sequence every service scenario replays.
 
     Small on purpose (chaos cases run in a matrix): three distinct
-    solves — one on the SAT backend so ``worker.solver`` degradation has
-    something to degrade — a duplicate, and one roundelim step.
+    solves, a duplicate, and one roundelim step.
     """
     from repro.service.protocol import roundelim_request, solve_request
 
@@ -80,7 +74,7 @@ def _workload() -> list[dict]:
     return [
         solve_request(spec, algorithm=algorithm, n=24, seed=0),
         solve_request(spec, algorithm=algorithm, n=24, seed=1),
-        solve_request(spec, algorithm=algorithm, n=24, seed=2, solver="sat"),
+        solve_request(spec, algorithm=algorithm, n=24, seed=2),
         solve_request(spec, algorithm=algorithm, n=24, seed=0),
         roundelim_request("sinkless-orientation:delta=3", op="R"),
     ]

@@ -12,8 +12,8 @@ their named sites; the clock counts hits, fires the scheduled faults
 exactly once each, and keeps a log of what fired for telemetry.
 
 Every injection decision is taken in the *parent* process — the worker
-pool decides crash/hang/degrade faults at dispatch time, before a
-request is shipped to a subprocess — so schedules stay deterministic no
+pool decides crash/hang faults at dispatch time, before a request is
+shipped to a subprocess — so schedules stay deterministic no
 matter how work is distributed (``jobs=1`` and ``jobs=N`` see the same
 hit counts in the same order for the same request sequence).
 
@@ -29,7 +29,7 @@ Fault kinds:
     the write completes, then the on-disk bytes are truncated — the
     silent-corruption case the checksum footer exists to catch.
 ``crash``
-    the worker process (or backend) dies before producing a result.
+    the worker process dies before producing a result.
 ``hang``
     the worker never answers; with a deadline this surfaces as the
     stable ``timeout`` wire code.
@@ -59,7 +59,6 @@ FAULT_SITES: dict[str, tuple[str, ...]] = {
     "cache.manifest": ("torn_write", "error"),
     "store.write": ("torn_write", "corrupt", "error"),
     "worker.exec": ("crash", "hang"),
-    "worker.solver": ("crash",),
     "client.send": ("drop",),
     "client.recv": ("drop",),
 }
@@ -69,7 +68,6 @@ SITE_DESCRIPTIONS = {
     "cache.manifest": "ReportCache shutdown-manifest write",
     "store.write": "ProblemStore disk-tier write (nodes/ ops/ links/)",
     "worker.exec": "worker-pool request execution (kill or hang a worker)",
-    "worker.solver": "non-default solver backend crash (degrades to default)",
     "client.send": "HTTP transport: connection drops before the request",
     "client.recv": "HTTP transport: connection drops mid-response",
 }
@@ -112,19 +110,13 @@ class HungSolveFault(InjectedFault):
     kind = "hang"
 
 
-class BackendCrashFault(InjectedFault):
-    """A solver backend crashed mid-solve (degrades to the default)."""
-
-    kind = "crash"
-
-
 class TransportDropFault(InjectedFault):
     """The HTTP transport lost its connection."""
 
     kind = "drop"
 
 
-#: kind -> exception class, for sites without a more specific mapping.
+#: kind -> exception class.
 _KIND_ERRORS = {
     "error": StorageFault,
     "torn_write": TornWriteFault,
@@ -136,8 +128,6 @@ _KIND_ERRORS = {
 
 def fault_error(spec: "FaultSpec") -> InjectedFault:
     """The typed exception a fired fault spec raises."""
-    if spec.site == "worker.solver":
-        return BackendCrashFault(spec)
     return _KIND_ERRORS[spec.kind](spec)
 
 

@@ -14,11 +14,6 @@ a hostile world:
   does not answer in time (a stuck pooled worker, or an injected
   ``hang`` fault) resolves to the stable ``timeout`` wire code and the
   wedged pool is recycled so the slot comes back.
-* **graceful degradation** — when a ``worker.solver`` fault marks a
-  non-default solver backend as crashed, the request is re-executed on
-  the default backend and counted in ``degraded``.  Backends are
-  observationally equivalent (request digests and records exclude
-  them), so degradation is visible in telemetry and *never* in bytes.
 
 Every fault decision happens in the parent at dispatch time (see
 :mod:`repro.reliability.faults`), so the same plan produces the same
@@ -96,36 +91,18 @@ class SupervisedWorkerPool:
         self.worker_restarts = 0
         self.redispatched = 0
         self.timeouts = 0
-        self.degraded = 0
 
     # -- fault planning (parent side, deterministic) -----------------------
 
-    def _plan_request(self, canonical: dict) -> tuple[str, dict]:
-        """Decide this request's injected fate: ``(action, executable)``.
+    def _plan_request(self) -> str:
+        """Decide the next request's injected fate.
 
-        ``action`` is ``"run"`` (normal), ``"crash"`` (the first
-        dispatch is killed; the executable runs as the one re-dispatch)
-        or ``"hang"`` (never answers; resolves to ``timeout``).  The
-        executable may carry a degraded solver backend.
+        ``"run"`` (normal), ``"crash"`` (the first dispatch is killed;
+        the request runs as the one re-dispatch) or ``"hang"`` (never
+        answers; resolves to ``timeout``).
         """
-        run = canonical
-        solver_fault = check_fault(self.fault_clock, "worker.solver")
-        if (
-            solver_fault is not None
-            and run.get("solver") is not None
-            and run.get("solver") != "csp"
-        ):
-            # The non-default backend "crashed": fall back to the
-            # default.  Digests and records exclude the backend, so the
-            # answer bytes cannot change — only this counter does.
-            self.degraded += 1
-            run = {**run, "solver": "csp"}
-        exec_fault = check_fault(self.fault_clock, "worker.exec")
-        if exec_fault is not None and exec_fault.kind == "hang":
-            return "hang", run
-        if exec_fault is not None and exec_fault.kind == "crash":
-            return "crash", run
-        return "run", run
+        fault = check_fault(self.fault_clock, "worker.exec")
+        return "run" if fault is None else fault.kind
 
     # -- execution ---------------------------------------------------------
 
@@ -169,10 +146,12 @@ class SupervisedWorkerPool:
 
     def run_batch(self, batch: list[dict]) -> list[dict]:
         """Execute a batch of canonical requests, results in task order."""
-        planned = [self._plan_request(canonical) for canonical in batch]
+        # Plan the whole batch before running any of it, so the fault
+        # clock sees one hit per request in task order.
+        planned = [self._plan_request() for _ in batch]
         results: list[dict | None] = [None] * len(batch)
-        pooled_indices = []
-        for index, (action, run) in enumerate(planned):
+        live = []
+        for index, (action, canonical) in enumerate(zip(planned, batch)):
             if action == "hang":
                 self.timeouts += 1
                 results[index] = timeout_result(self.deadline)
@@ -182,10 +161,9 @@ class SupervisedWorkerPool:
                 # request exactly once.
                 self.worker_crashes += 1
                 self._restart_pool()
-                results[index] = self._redispatch(run)
+                results[index] = self._redispatch(canonical)
             else:
-                pooled_indices.append(index)
-        live = [(index, planned[index][1]) for index in pooled_indices]
+                live.append((index, canonical))
         if len(live) > 1 and self.jobs > 1:
             pool = self._ensure_pool()
             if pool:
@@ -236,5 +214,4 @@ class SupervisedWorkerPool:
             "worker_restarts": self.worker_restarts,
             "redispatched": self.redispatched,
             "timeouts": self.timeouts,
-            "degraded": self.degraded,
         }

@@ -19,7 +19,6 @@ lower bound sequences.
 
 from repro.roundelim.explore.classify import (
     exhaustive_zero_round,
-    is_relaxation_fixed_point,
     uniform_zero_round,
 )
 from repro.roundelim.explore.frontier import (
@@ -67,7 +66,6 @@ __all__ = [
     "compute_step",
     "exhaustive_zero_round",
     "explore",
-    "is_relaxation_fixed_point",
     "reports_identical",
     "uniform_zero_round",
 ]

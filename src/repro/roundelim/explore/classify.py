@@ -14,9 +14,9 @@ walking chains that already prove something:
 * **fixed point** — RE(Π) ≅ Π (Lemma 5.4's notion).  Content addressing
   makes the exact check free: canonical digests are equal iff the
   problems are isomorphic.  The weaker *relaxation* fixed point (Π is a
-  relaxation of RE(Π), all Corollary 5.5 needs) reuses
-  :func:`repro.formalism.relaxations.find_label_relaxation`, exactly as
-  :mod:`repro.roundelim.fixed_points` does.
+  relaxation of RE(Π), all Corollary 5.5 needs) is the store's memoized
+  relaxation query,
+  :meth:`repro.roundelim.explore.store.ProblemStore.relaxation`.
 """
 
 from __future__ import annotations
@@ -25,10 +25,6 @@ import networkx as nx
 
 from repro.formalism.configurations import Configuration
 from repro.formalism.problems import Problem
-from repro.formalism.relaxations import (
-    find_config_map_relaxation,
-    find_label_relaxation,
-)
 from repro.utils import SolverError
 
 #: Edge-count cap for the exhaustive zero-round check: the subgraph
@@ -128,23 +124,3 @@ def _exhaustive_zero_round_sat(problem: Problem) -> bool | None:
         return zero_round_solvable(problem=problem, graph=support, backend="sat")
     except SolverError:
         return None
-
-
-def is_relaxation_fixed_point(
-    problem: Problem, eliminated: Problem, config_map_white_cap: int = 8
-) -> bool:
-    """Π is a relaxation of RE(Π) — Corollary 5.5's requirement.
-
-    ``eliminated`` is the (canonical) RE output.  The label-map search
-    of :func:`repro.roundelim.fixed_points.analyze_fixed_point` runs
-    first; when it fails, the general ordered-configuration-map notion
-    (§2) is tried, because some family endpoints — e.g. Π_3(2,1) of the
-    Δ=3 matching family — are fixed points only under the general
-    definition.  The fallback is capped on the eliminated problem's
-    white-constraint size (its search permutes target configurations).
-    """
-    if find_label_relaxation(eliminated, problem) is not None:
-        return True
-    if len(eliminated.white) > config_map_white_cap:
-        return False
-    return find_config_map_relaxation(eliminated, problem) is not None

@@ -24,9 +24,7 @@ objects: what the cache returns is exactly what went over the wire.
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,8 +52,6 @@ class CacheStats:
     misses: int = 0
     stored: int = 0
     evictions: int = 0
-    disk_evictions: int = 0
-    expired: int = 0
     quarantined: int = 0
     write_failures: int = 0
 
@@ -78,8 +74,6 @@ class CacheStats:
             "misses": self.misses,
             "stored": self.stored,
             "evictions": self.evictions,
-            "disk_evictions": self.disk_evictions,
-            "expired": self.expired,
             "quarantined": self.quarantined,
             "write_failures": self.write_failures,
             "hit_rate": round(self.hit_rate, 6),
@@ -90,32 +84,18 @@ class CacheStats:
 class ReportCache:
     """Two-tier (LRU + on-disk) cache of canonical request results.
 
-    The disk tier is bounded like the memory tier: ``max_disk_bytes``
-    caps the total size of ``root/reports/`` (oldest-mtime entries are
-    evicted first after each write-through), and ``ttl_seconds`` expires
-    entries by file age (checked at lookup and during the post-write
-    sweep).  Both default to ``None`` — unbounded, the pre-existing
-    behavior — and cost nothing when unset.  Eviction and expiry only
-    unlink committed entries, so crash-safety is untouched; the memory
-    tier is not TTL'd (it is capacity-bounded and process-scoped).
-    ``clock`` is injectable for deterministic TTL tests.
+    The memory tier holds at most ``capacity`` entries; the disk tier is
+    unbounded and keeps every record written through.
     """
 
     capacity: int = 1024
     root: Path | None = None
     stats: CacheStats = field(default_factory=CacheStats)
     fault_clock: FaultClock | None = None
-    max_disk_bytes: int | None = None
-    ttl_seconds: float | None = None
-    clock: Callable[[], float] = time.time
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise InvalidParameterError("cache capacity must be >= 1")
-        if self.max_disk_bytes is not None and self.max_disk_bytes < 1:
-            raise InvalidParameterError("max_disk_bytes must be >= 1")
-        if self.ttl_seconds is not None and self.ttl_seconds <= 0:
-            raise InvalidParameterError("ttl_seconds must be > 0")
         self.recovery = {"graceful": True, "checked": 0, "quarantined": 0,
                          "tmp_removed": 0}
         if self.root is not None:
@@ -149,12 +129,6 @@ class ReportCache:
         if self.root is not None:
             target = self._path(digest)
             if target.exists():
-                if self._is_expired(target):
-                    self._mark_dirty()
-                    target.unlink(missing_ok=True)
-                    self.stats.expired += 1
-                    self.stats.misses += 1
-                    return None
                 try:
                     loaded = read_checked_json(target)
                     entry = {
@@ -203,55 +177,7 @@ class ReportCache:
                 )
             except (InjectedFault, OSError):
                 self.stats.write_failures += 1
-            else:
-                self._enforce_disk_bounds()
         return entry
-
-    def _is_expired(self, path: Path) -> bool:
-        if self.ttl_seconds is None:
-            return False
-        try:
-            age = self.clock() - path.stat().st_mtime
-        except OSError:
-            return False
-        return age > self.ttl_seconds
-
-    def _enforce_disk_bounds(self) -> None:
-        """Expire by age, then evict oldest-first past the byte budget.
-
-        Runs after each successful write-through (never on the lookup hot
-        path) and only when a bound is configured.  Unlinking committed
-        entries is the only mutation, so the atomic-write guarantees are
-        untouched; the dirty marker is already down here (``record``
-        dropped it before writing).
-        """
-        if self.max_disk_bytes is None and self.ttl_seconds is None:
-            return
-        entries = []
-        for path in (self.root / "reports").glob("*.json"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, path.name, stat.st_size, path))
-        if self.ttl_seconds is not None:
-            now = self.clock()
-            kept = []
-            for mtime, name, size, path in entries:
-                if now - mtime > self.ttl_seconds:
-                    path.unlink(missing_ok=True)
-                    self.stats.expired += 1
-                else:
-                    kept.append((mtime, name, size, path))
-            entries = kept
-        if self.max_disk_bytes is not None:
-            total = sum(size for _mtime, _name, size, _path in entries)
-            for _mtime, _name, size, path in sorted(entries):
-                if total <= self.max_disk_bytes:
-                    break
-                path.unlink(missing_ok=True)
-                self.stats.disk_evictions += 1
-                total -= size
 
     def _mark_dirty(self) -> None:
         """Drop the graceful-shutdown marker before the first mutation.

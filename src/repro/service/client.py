@@ -233,12 +233,12 @@ class ServiceClient:
         """POST one raw request-v1 dict; returns the response-v1 dict."""
         return self._call("/v1/request", payload)
 
-    def solve(self, problem, *, algorithm, engine=None, solver=None, n=None,
-              seed=0, max_rounds=10_000, check=True, options=None) -> dict:
+    def solve(self, problem, *, algorithm, engine=None, n=None, seed=0,
+              max_rounds=10_000, check=True, options=None) -> dict:
         """Solve via the service (mirrors :func:`repro.api.solve`)."""
         return self.request(solve_request(
-            problem, algorithm=algorithm, engine=engine, solver=solver, n=n,
-            seed=seed, max_rounds=max_rounds, check=check, options=options,
+            problem, algorithm=algorithm, engine=engine, n=n, seed=seed,
+            max_rounds=max_rounds, check=check, options=options,
         ))
 
     def roundelim(self, problem, *, op, budget=None, engine=None) -> dict:

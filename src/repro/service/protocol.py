@@ -10,6 +10,8 @@ other loudly instead of mis-parsing silently:
   max_rounds, check, options); ``kind: "roundelim"`` carries a problem
   (spec string or a ``repro.normalize/v1`` payload), an operator
   (``R`` / ``R_bar`` / ``RE``), a search budget and a kernel engine.
+  Fields a kind does not define are ignored: the canonical form drops
+  them, so they change neither the digest nor the result.
 * **response** (``repro.service/response-v1``) — ``status: "ok"`` with
   the result body, or ``status: "error"`` with a stable error code
   (:func:`repro.api.error_code`).  For solve requests the ``report``
@@ -45,7 +47,6 @@ from repro.roundelim.operators import (
     DEFAULT_ENGINE as DEFAULT_RE_ENGINE,
     ENGINES as RE_ENGINES,
 )
-from repro.solvers.backends import BACKENDS, DEFAULT_BACKEND
 from repro.utils import ReproError
 from repro.utils.serialization import result_digest, to_jsonable
 
@@ -115,18 +116,6 @@ def _parse_problem_field(problem) -> ProblemSpec:
     )
 
 
-def _canonical_solver(request: dict) -> str:
-    solver = _require_type(
-        request, "solver", (str,), default=DEFAULT_BACKEND
-    )
-    if solver not in BACKENDS:
-        raise ProtocolError(
-            f"unknown solver backend {solver!r}; known: {sorted(BACKENDS)}",
-            "bad-field",
-        )
-    return solver
-
-
 def _canonicalize_solve(request: dict) -> dict:
     spec = _parse_problem_field(
         _require_type(request, "problem", (str, dict), required=True)
@@ -144,7 +133,6 @@ def _canonicalize_solve(request: dict) -> dict:
     max_rounds = _require_type(request, "max_rounds", (int,), default=10_000)
     check = _require_type(request, "check", (bool,), default=True)
     options = _require_type(request, "options", (dict,), default={})
-    solver = _canonical_solver(request)
     if n is not None and n < 1:
         raise ProtocolError(f"request field 'n' must be >= 1, got {n}", "bad-field")
     if max_rounds < 1:
@@ -163,7 +151,6 @@ def _canonicalize_solve(request: dict) -> dict:
         "problem": spec.spec,
         "algorithm": algo.name,
         "engine": engine.name,
-        "solver": solver,
         "n": n,
         "seed": seed,
         "max_rounds": max_rounds,
@@ -205,7 +192,6 @@ def _canonicalize_roundelim(request: dict) -> dict:
             f"unknown roundelim engine {engine!r}; known: {sorted(RE_ENGINES)}",
             "bad-field",
         )
-    solver = _canonical_solver(request)
     return {
         "schema": REQUEST_SCHEMA,
         "kind": "roundelim",
@@ -214,7 +200,6 @@ def _canonicalize_roundelim(request: dict) -> dict:
         "op": op,
         "budget": budget,
         "engine": engine,
-        "solver": solver,
     }
 
 
@@ -251,16 +236,11 @@ def canonicalize_request(request) -> dict:
 def request_digest(canonical: dict) -> str:
     """The content digest a canonical request is cached and deduped under.
 
-    Excludes the engine and the solver backend: both are observationally
-    equivalent by contract (the façade/operator guarantees for engines,
-    the differential ``sat`` oracle for solvers), so requests differing
-    only in backend share one cache entry and one in-flight solve.
+    Excludes the engine: engines are observationally equivalent by
+    contract (the façade and operator guarantees), so requests differing
+    only in engine share one cache entry and one in-flight solve.
     """
-    keyed = {
-        key: value
-        for key, value in canonical.items()
-        if key not in ("engine", "solver")
-    }
+    keyed = {key: value for key, value in canonical.items() if key != "engine"}
     return result_digest(keyed, length=DIGEST_LENGTH)
 
 
@@ -269,7 +249,6 @@ def solve_request(
     *,
     algorithm: str,
     engine: str | None = None,
-    solver: str | None = None,
     n: int | None = None,
     seed: int = 0,
     max_rounds: int = 10_000,
@@ -290,8 +269,6 @@ def solve_request(
     }
     if engine is not None:
         request["engine"] = engine
-    if solver is not None:
-        request["solver"] = solver
     if n is not None:
         request["n"] = n
     if options:
@@ -305,7 +282,6 @@ def roundelim_request(
     op: str,
     budget: int = DEFAULT_ROUNDELIM_BUDGET,
     engine: str | None = None,
-    solver: str | None = None,
 ) -> dict:
     """Build a raw ``kind="roundelim"`` request."""
     request = {
@@ -317,8 +293,6 @@ def roundelim_request(
     }
     if engine is not None:
         request["engine"] = engine
-    if solver is not None:
-        request["solver"] = solver
     return request
 
 

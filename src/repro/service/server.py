@@ -297,7 +297,7 @@ class SolveService:
 
     def status(self) -> dict:
         """The live counters (plus the registries, for client discovery)."""
-        from repro.api import list_algorithms, list_engines, list_solvers
+        from repro.api import list_algorithms, list_engines
         from repro.service.protocol import REQUEST_SCHEMA, RESPONSE_SCHEMA
 
         with self._lock:
@@ -338,5 +338,4 @@ class SolveService:
                 },
                 "algorithms": [entry["name"] for entry in list_algorithms()],
                 "engines": [entry["name"] for entry in list_engines()],
-                "solvers": [entry["name"] for entry in list_solvers()],
             }

@@ -285,6 +285,24 @@ class TestSolve:
                 "option 'initial_coloring' must map nodes to classes, got list",
             ),
             (
+                "arbdefective:Δ=2,c=2", "arbdefective:class-sweep",
+                {"proper_coloring": {0: [0], 1: [1], 2: [0], 3: [1]}},
+                nx.cycle_graph(4),
+                "option 'proper_coloring' gives node 0 the class [0], "
+                "which is not hashable",
+            ),
+            (
+                "coloring:Δ=2", "coloring:class-sweep",
+                {"initial_coloring": {0: 0, 1: 2**70, 2: 0, 3: 1}},
+                nx.cycle_graph(4),
+                f"gives node 1 the class {2**70}, which is outside the int64 range",
+            ),
+            (
+                "ruling-set:Δ=2,β=2", "ruling-set:class-sweep",
+                {"coloring": {0: 0, 1: 2**70, 2: 0, 3: 1}}, nx.cycle_graph(4),
+                f"gives node 1 the class {2**70}, which is outside the int64 range",
+            ),
+            (
                 "maximal-matching:Δ=2", "matching:proposal",
                 {}, nx.cycle_graph(3),
                 "graph is not bipartite",
@@ -293,18 +311,22 @@ class TestSolve:
         ids=[
             "initial-coloring-missing-node", "coloring-missing-node",
             "proper-coloring-missing-node", "str-class", "fractional-class",
-            "fractional-ruling-class", "list-not-map", "odd-cycle-matching",
+            "fractional-ruling-class", "list-not-map", "unhashable-class",
+            "int64-overflow-class", "int64-overflow-ruling-class",
+            "odd-cycle-matching",
         ],
     )
     def test_caller_input_refused_before_any_engine_runs(
         self, engine, problem, algorithm, options, graph, message
     ):
-        """A caller's coloring must give every node an integer class, and
-        the proposal matching needs a 2-colorable graph.  These used to
-        escape as ``KeyError``, ``TypeError``, ``AttributeError`` or
-        networkx's ``NetworkXError`` (all ``internal``), or, for a class
-        of 1.5, run 3 rounds on the object engine and 2 on the vectorized
-        one."""
+        """A caller's coloring must give every node a hashable class, an
+        int64 one where the sweep counts rounds by it, and the proposal
+        matching needs a 2-colorable graph.  These used to escape as
+        ``KeyError``, ``TypeError``, ``AttributeError``, ``OverflowError``
+        or networkx's ``NetworkXError`` (all ``internal``), or split the
+        engines: a class of 1.5 ran 3 rounds on the object engine and 2 on
+        the vectorized one, and a class of 2**70 never halted on the
+        object engine."""
         with pytest.raises(InvalidParameterError) as exc:
             api.solve(problem, algorithm=algorithm, engine=engine, graph=graph, **options)
         assert api.error_code(exc.value) == "bad-parameter"

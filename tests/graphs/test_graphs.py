@@ -14,7 +14,6 @@ from repro.graphs import (
     biregular_tree,
     cage,
     chromatic_lower_bound_from_independence,
-    complete_graph,
     cycle,
     exact_chromatic_number,
     exact_girth,
@@ -39,7 +38,7 @@ class TestGirth:
         [
             (lambda: cycle(5), 5),
             (lambda: cycle(8), 8),
-            (lambda: complete_graph(4), 3),
+            (lambda: nx.complete_graph(4), 3),
             (lambda: nx.complete_bipartite_graph(2, 3), 4),
             (lambda: nx.path_graph(5), math.inf),
         ],

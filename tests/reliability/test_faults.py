@@ -9,7 +9,6 @@ from repro.reliability.faults import (
     FAULT_SITES,
     PLAN_SCHEMA,
     SITE_DESCRIPTIONS,
-    BackendCrashFault,
     FaultClock,
     FaultPlan,
     FaultSpec,
@@ -59,7 +58,6 @@ class TestFaultSpec:
             ("cache.write", "torn_write"): TornWriteFault,
             ("worker.exec", "crash"): WorkerCrashFault,
             ("worker.exec", "hang"): HungSolveFault,
-            ("worker.solver", "crash"): BackendCrashFault,
             ("client.send", "drop"): TransportDropFault,
         }
         for (site, kind), expected in expectations.items():

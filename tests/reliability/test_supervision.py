@@ -1,4 +1,4 @@
-"""Worker supervision: exactly-once re-dispatch, deadlines, degradation."""
+"""Worker supervision: exactly-once re-dispatch, deadlines."""
 
 import time
 
@@ -15,7 +15,7 @@ from repro.utils import InvalidParameterError
 
 
 def _echo(canonical):
-    return {"ok": True, "echo": canonical.get("seed"), "solver": canonical.get("solver")}
+    return {"ok": True, "echo": canonical.get("seed")}
 
 
 def _sleepy(canonical):
@@ -98,31 +98,6 @@ class TestInjectedHang:
         assert pool.timeouts == 1
 
 
-class TestDegradation:
-    def test_solver_fault_degrades_to_default_backend(self):
-        pool = SupervisedWorkerPool(
-            1,
-            fault_clock=clock_for(("worker.solver", 1, "crash")),
-            worker_fn=_echo,
-        )
-        (result,) = pool.run_batch([{"seed": 0, "solver": "sat"}])
-        # The request ran, on the default backend, and only telemetry
-        # shows it — the result is still a success.
-        assert result["ok"] is True
-        assert result["solver"] == "csp"
-        assert pool.degraded == 1
-
-    def test_default_backend_requests_are_not_degraded(self):
-        pool = SupervisedWorkerPool(
-            1,
-            fault_clock=clock_for(("worker.solver", 1, "crash")),
-            worker_fn=_echo,
-        )
-        (result,) = pool.run_batch([{"seed": 0, "solver": "csp"}])
-        assert result["solver"] == "csp"
-        assert pool.degraded == 0
-
-
 class TestPooledSupervision:
     def test_pooled_hang_times_out_and_recycles_the_pool(self):
         pool = SupervisedWorkerPool(2, deadline=0.5, worker_fn=_sleepy)
@@ -149,5 +124,4 @@ class TestTelemetry:
             "worker_restarts": 0,
             "redispatched": 0,
             "timeouts": 0,
-            "degraded": 0,
         }

@@ -93,89 +93,11 @@ class TestDiskTier:
     def test_memory_only_flush_is_noop(self):
         assert ReportCache(capacity=4).flush() is None
 
-
-class TestDiskBounds:
-    def test_byte_budget_evicts_oldest_first(self, tmp_path):
-        import os
-
-        cache = ReportCache(capacity=8, root=tmp_path)
-        cache.record("aaaa", "solve", record_for(1))
-        path_a = tmp_path / "reports" / "aaaa.json"
-        # Budget fits exactly one entry; make "aaaa" unambiguously the
-        # oldest before the next write.
-        cache.max_disk_bytes = path_a.stat().st_size + 1
-        old = path_a.stat().st_mtime - 10
-        os.utime(path_a, (old, old))
-        cache.record("bbbb", "solve", record_for(2))
-        assert not path_a.exists()
-        assert (tmp_path / "reports" / "bbbb.json").exists()
-        assert cache.stats.disk_evictions >= 1
-        # Memory still serves the evicted digest; a fresh cache cannot.
-        assert cache.lookup("aaaa") is not None
-        fresh = ReportCache(capacity=8, root=tmp_path)
-        assert fresh.lookup("aaaa") is None
-
     def test_unbounded_cache_never_evicts_disk(self, tmp_path):
         cache = ReportCache(capacity=1, root=tmp_path)
         for i in range(5):
             cache.record(f"d{i}", "solve", record_for(i))
         assert len(list((tmp_path / "reports").glob("*.json"))) == 5
-        assert cache.stats.disk_evictions == 0
-
-    def test_ttl_expires_on_lookup(self, tmp_path):
-        now = [1000.0]
-        cache = ReportCache(
-            capacity=4, root=tmp_path, ttl_seconds=60, clock=lambda: now[0]
-        )
-        cache.record("aaaa", "solve", record_for(1))
-        # Age the file past the TTL; drop it from memory so the disk
-        # tier answers.
-        import os
-
-        path = tmp_path / "reports" / "aaaa.json"
-        os.utime(path, (now[0], now[0]))
-        cache._entries.clear()
-        now[0] += 61
-        assert cache.lookup("aaaa") is None
-        assert not path.exists()
-        assert cache.stats.expired == 1
-        assert cache.stats.misses == 1
-
-    def test_ttl_sweep_on_write(self, tmp_path):
-        import os
-
-        now = [1000.0]
-        cache = ReportCache(
-            capacity=4, root=tmp_path, ttl_seconds=60, clock=lambda: now[0]
-        )
-        cache.record("aaaa", "solve", record_for(1))
-        path = tmp_path / "reports" / "aaaa.json"
-        os.utime(path, (now[0], now[0]))
-        now[0] += 61
-        cache.record("bbbb", "solve", record_for(2))
-        assert not path.exists()
-        assert (tmp_path / "reports" / "bbbb.json").exists()
-        assert cache.stats.expired == 1
-
-    def test_fresh_entries_survive_both_bounds(self, tmp_path):
-        cache = ReportCache(
-            capacity=4,
-            root=tmp_path,
-            max_disk_bytes=10_000_000,
-            ttl_seconds=3600,
-        )
-        for i in range(4):
-            cache.record(f"d{i}", "solve", record_for(i))
-        assert len(list((tmp_path / "reports").glob("*.json"))) == 4
-        assert cache.stats.disk_evictions == 0
-        assert cache.stats.expired == 0
-        assert cache.stats.as_dict()["disk_evictions"] == 0
-
-    def test_bounds_validated(self):
-        with pytest.raises(InvalidParameterError):
-            ReportCache(max_disk_bytes=0)
-        with pytest.raises(InvalidParameterError):
-            ReportCache(ttl_seconds=0)
 
 
 class TestStats:

@@ -110,6 +110,43 @@ class TestCanonicalizeRoundelim:
         assert request_digest(kernel) == request_digest(reference)
 
 
+class _ReadRecorder(dict):
+    """A canonical request that records which keys its reader asks for."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize(
+    "request_dict, unread",
+    [
+        (solve_request("maximal-matching:delta=3",
+                       algorithm="matching:proposal", n=24), {"schema"}),
+        # problem_digest is the problem's identity in the request digest.
+        (roundelim_request("sinkless-orientation:delta=3", op="R"),
+         {"schema", "problem_digest"}),
+    ],
+    ids=["solve", "roundelim"],
+)
+def test_worker_reads_every_field_of_a_canonical_request(request_dict, unread):
+    """A canonical field the worker never reads selects nothing, yet
+    every test, doc and chaos plan would have to cover its settings."""
+    from repro.service.worker import compute_result
+
+    recorder = _ReadRecorder(canonicalize_request(request_dict))
+    assert compute_result(recorder)["ok"] is True
+    assert set(recorder) - recorder.read == unread
+
+
 class TestMalformedRequests:
     @pytest.mark.parametrize(
         "request_dict, code",

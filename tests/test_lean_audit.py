@@ -3,10 +3,14 @@ in ``src/`` has a caller outside the tests, or a recorded reason to stay.
 
 The scan reads ``src/``, ``benchmarks/``, ``examples/`` and
 ``perfbench/`` with :mod:`ast`.  A definition counts as called when some
-module there names it in code: as an ``ast.Name``, an ``ast.Attribute``
-or a ``from … import``.  Re-exports in ``__init__.py`` files and mentions
-in docstrings do not count.  Decorated definitions (dataclasses and the
-like) and methods are out of scope.
+module there names it in code: as an ``ast.Name``, a ``from … import``,
+or an ``ast.Attribute`` whose chain starts at a name the module imported
+from ``repro`` (``api.solve``, ``repro.api.solve``).  Attributes of
+anything else (``self.describe``, ``nx.complete_graph``) name methods
+and third-party code, so they would hide a dead function of the same
+name.  Re-exports in ``__init__.py`` files and mentions in docstrings do
+not count.  Decorated definitions (dataclasses and the like) and methods
+are out of scope.
 
 A name that only tests reach either goes, or is entered in :data:`KEPT`
 with the reason it stays.  An entry that gains a caller, or whose
@@ -58,6 +62,7 @@ KEPT = {
     "condensed": "public API: shorthand for condensed configurations",
     "parse_configuration": "public API: parses one plain configuration",
     "canonical_digest": "public API: a problem's content address",
+    "describe": "public API: everything the façade knows about one spec",
 }
 
 
@@ -80,17 +85,47 @@ def _definitions() -> dict[str, str]:
     return found
 
 
+def _from_repro(module: str | None) -> bool:
+    return module is not None and module.split(".")[0] == "repro"
+
+
+def _repro_bindings(module: ast.Module) -> set[str]:
+    """The names a module binds by importing from ``repro``."""
+    bound: set[str] = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            bound.update(
+                alias.asname or alias.name.split(".")[0]
+                for alias in node.names
+                if _from_repro(alias.name)
+            )
+        elif isinstance(node, ast.ImportFrom) and _from_repro(node.module):
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return bound
+
+
+def _chain_root(node: ast.Attribute) -> ast.expr:
+    root = node.value
+    while isinstance(root, ast.Attribute):
+        root = root.value
+    return root
+
+
 def _references() -> set[str]:
     """Every name the code of :data:`CALLER_TREES` mentions."""
     names: set[str] = set()
     for tree in CALLER_TREES:
         for path in sorted((ROOT / tree).rglob("*.py")):
             reexports = path.name == "__init__.py"
-            for node in ast.walk(_parse(path)):
+            module = _parse(path)
+            imported = _repro_bindings(module)
+            for node in ast.walk(module):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
+                    root = _chain_root(node)
+                    if isinstance(root, ast.Name) and root.id in imported:
+                        names.add(node.attr)
                 elif isinstance(node, ast.ImportFrom) and not reexports:
                     names.update(alias.name for alias in node.names)
     return names
