@@ -10,8 +10,9 @@ and hung workers, and dropped connections:
   replayable schedule of named fault sites) and :class:`FaultClock`
   (the runtime hit counter that fires them exactly once);
 * :mod:`repro.reliability.atomic` — atomic temp-file+rename writes,
-  per-entry checksum footers, quarantine, and manifest-driven recovery
-  for the disk tiers;
+  per-entry checksum footers, quarantine, manifest-driven recovery, and
+  :class:`~repro.reliability.atomic.MemoTier`, the one LRU-over-disk
+  tier both disk-backed stores own;
 * :mod:`repro.reliability.supervise` — :class:`SupervisedWorkerPool`:
   worker restart with exactly-once re-dispatch, per-request deadlines
   (stable ``timeout`` wire code);
@@ -47,14 +48,10 @@ from repro.reliability.faults import (
     FaultClock,
     FaultPlan,
     FaultSpec,
-    HungSolveFault,
     InjectedFault,
     StorageFault,
     TornWriteFault,
-    TransportDropFault,
-    WorkerCrashFault,
     check_fault,
-    fault_error,
 )
 from repro.reliability.supervise import (
     RequestTimeoutError,
@@ -74,19 +71,15 @@ __all__ = [
     "FaultClock",
     "FaultPlan",
     "FaultSpec",
-    "HungSolveFault",
     "InjectedFault",
     "RequestTimeoutError",
     "StorageFault",
     "SupervisedWorkerPool",
     "TornWriteFault",
-    "TransportDropFault",
     "WorkerCrashError",
-    "WorkerCrashFault",
     "body_checksum",
     "chaos_matrix",
     "check_fault",
-    "fault_error",
     "minimize_plan",
     "open_with_recovery",
     "quarantine_entry",

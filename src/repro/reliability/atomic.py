@@ -1,8 +1,9 @@
-"""Crash-safe storage primitives: atomic writes, checksums, quarantine.
+"""Crash-safe storage: atomic writes, checksums, quarantine, one memo tier.
 
 Every disk-tier entry of the :class:`~repro.service.cache.ReportCache`
 and the :class:`~repro.roundelim.explore.store.ProblemStore` goes
-through this module:
+through this module, and both stores are thin owners of one
+:class:`MemoTier`:
 
 * **atomic writes** — render to a temporary file in the target
   directory, then ``os.replace``; a crash (or injected torn write) at
@@ -13,15 +14,18 @@ through this module:
   corruption (truncation, bit rot, a concurrent non-atomic writer) is
   *detected* at read time instead of surfacing as a JSON error or —
   worse — a wrong answer;
-* **quarantine** — a corrupt entry is moved to ``root/quarantine/``
-  (never deleted: it is evidence) and the caller recomputes;
+* **quarantine** — a corrupt entry, or one its owner cannot decode, is
+  moved to ``root/quarantine/`` (never deleted: it is evidence) and the
+  caller recomputes;
 * **recovery sweep** — on reopening a store whose shutdown manifest is
   missing (an ungraceful shutdown), every entry is validated eagerly,
   corrupt ones are quarantined, and stray temporary files are removed.
 
 Entries written before the checksum layer existed (no ``checksum``
-field) are accepted as long as they parse — the footer is verified only
-when present, so old store directories resume without recomputation.
+field) pass :func:`read_checked_json` as long as they parse — the
+footer is verified only when present, so old store directories resume
+without recomputation; the owner's decoder still rejects a parsed entry
+that lacks a field it needs.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ import hashlib
 import json
 import os
 import tempfile
+from collections import OrderedDict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.reliability.faults import (
@@ -38,15 +44,17 @@ from repro.reliability.faults import (
     StorageFault,
     TornWriteFault,
     check_fault,
-    fault_error,
 )
-from repro.utils import ReproError
+from repro.utils import InvalidParameterError, ReproError
 from repro.utils.serialization import canonical_dumps
 
 CHECKSUM_KEY = "checksum"
 
 #: Directory (under a store root) corrupt entries are moved into.
 QUARANTINE_DIR = "quarantine"
+
+#: The graceful-shutdown marker at a store root (see :meth:`MemoTier.flush`).
+MANIFEST = "manifest.json"
 
 
 class CorruptEntryError(ReproError):
@@ -103,8 +111,6 @@ def write_checked_json(
     if spec is not None and spec.kind == "corrupt":
         raw = target.read_bytes()
         target.write_bytes(raw[: len(raw) // 2])
-    elif spec is not None and spec.kind not in ("error", "torn_write"):
-        raise fault_error(spec)
     return target
 
 
@@ -190,12 +196,7 @@ def sweep_tree(root: str | Path, subdirs) -> dict:
     return summary
 
 
-def open_with_recovery(
-    root: str | Path,
-    subdirs,
-    *,
-    manifest_name: str = "manifest.json",
-) -> dict:
+def open_with_recovery(root: str | Path, subdirs) -> dict:
     """Prepare a store directory, recovering from ungraceful shutdowns.
 
     Creates the subdirectories, then decides between the two trust
@@ -213,7 +214,7 @@ def open_with_recovery(
     root = Path(root)
     for sub in subdirs:
         (root / sub).mkdir(parents=True, exist_ok=True)
-    manifest = root / manifest_name
+    manifest = root / MANIFEST
     graceful = False
     if manifest.exists():
         try:
@@ -227,11 +228,167 @@ def open_with_recovery(
     return {"graceful": graceful, **summary}
 
 
+@dataclass
+class TierStats:
+    """Where a :class:`MemoTier`'s answers came from, and what it lost."""
+
+    memory_hits: int = 0
+    disk_hits: int = 0
+    misses: int = 0
+    evictions: int = 0
+    quarantined: int = 0
+    write_failures: int = 0
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+
+class MemoTier:
+    """A capacity-bounded LRU in front of an optional crash-safe disk tier.
+
+    The protocol both disk-backed memos share.  Opening a ``root`` runs
+    :func:`open_with_recovery` over its ``subdirs``; :meth:`get` answers
+    from memory, then from disk (promoting the entry), else counts a
+    miss; :meth:`read` quarantines every entry it cannot serve;
+    :meth:`write` drops the manifest before the first write and counts a
+    failed write instead of raising it; :meth:`flush` rewrites the
+    manifest.  Owners keep what is theirs: entry names (paths relative
+    to ``root``), how an entry decodes, and the bodies they write.
+    Entry writes pass the fault site ``sites[0]``, the manifest write
+    ``sites[1]``.  Without a root, the tier is the LRU alone.
+    """
+
+    def __init__(
+        self,
+        capacity: int,
+        root: str | Path | None,
+        subdirs: tuple[str, ...],
+        stats: TierStats,
+        *,
+        fault_clock: FaultClock | None,
+        sites: tuple[str, str],
+    ) -> None:
+        if capacity < 1:
+            raise InvalidParameterError("capacity must be >= 1")
+        self.capacity = capacity
+        self.root = None if root is None else Path(root)
+        self.subdirs = subdirs
+        self.stats = stats
+        self.fault_clock = fault_clock
+        self.sites = sites
+        self.entries: OrderedDict = OrderedDict()
+        self.recovery = {"graceful": True, "checked": 0, "quarantined": 0,
+                         "tmp_removed": 0}
+        if self.root is not None:
+            self.recovery = open_with_recovery(self.root, subdirs)
+            stats.quarantined += self.recovery["quarantined"]
+        self._dirty = False
+
+    def get(self, key, name: str, decode):
+        """The entry under ``key`` from memory, else disk; None is a miss."""
+        entry = self.entries.get(key)
+        if entry is not None:
+            self.entries.move_to_end(key)
+            self.stats.memory_hits += 1
+            return entry
+        entry = self.read(name, decode)
+        if entry is not None:
+            self.put(key, entry)
+            self.stats.disk_hits += 1
+            return entry
+        self.stats.misses += 1
+        return None
+
+    def read(self, name: str, decode):
+        """``decode`` of the disk entry ``name``, or None.
+
+        An entry that fails :func:`read_checked_json`, or whose
+        ``decode`` returns None or raises ``KeyError``/``TypeError`` (a
+        missing or mistyped field), is quarantined and counted: the
+        caller recomputes, and a bad entry never reaches an answer.
+        """
+        if self.root is None:
+            return None
+        target = self.root / name
+        if not target.exists():
+            return None
+        try:
+            entry = decode(read_checked_json(target))
+        except (CorruptEntryError, KeyError, TypeError):
+            entry = None
+        if entry is None:
+            quarantine_entry(target, self.root)
+            self.stats.quarantined += 1
+        return entry
+
+    def put(self, key, entry) -> None:
+        """Remember ``entry`` as the most recent; evict past capacity."""
+        self.entries[key] = entry
+        self.entries.move_to_end(key)
+        while len(self.entries) > self.capacity:
+            self.entries.popitem(last=False)
+            self.stats.evictions += 1
+
+    def write(self, name: str, body: dict) -> None:
+        """Write one entry through to disk (no-op without a root).
+
+        The first write drops the manifest: while the tier is live its
+        directory is not in a trusted state, so a crash before
+        :meth:`flush` sends the next open through the recovery sweep.  A
+        failed write (full disk, injected fault) costs durability, not
+        availability: it is counted, and the memory tier still serves
+        the entry.
+        """
+        if self.root is None:
+            return
+        if not self._dirty:
+            self._dirty = True
+            (self.root / MANIFEST).unlink(missing_ok=True)
+        try:
+            write_checked_json(
+                self.root / name, body,
+                fault_clock=self.fault_clock, site=self.sites[0],
+            )
+        except (InjectedFault, OSError):
+            self.stats.write_failures += 1
+
+    def census(self) -> dict[str, int]:
+        """Entries on disk per subdirectory (for the manifest body)."""
+        return {
+            sub: len(list((self.root / sub).glob("*.json")))
+            for sub in self.subdirs
+        }
+
+    def flush(self, body: dict) -> Path | None:
+        """Write the shutdown manifest ``body``; returns its path.
+
+        Its presence tells the next open that this shutdown was graceful,
+        so entries are trusted and validated lazily on read.  No-op
+        (None) without a root; a failed write is counted and swallowed —
+        the next open simply takes the recovery path.
+        """
+        if self.root is None:
+            return None
+        try:
+            target = write_checked_json(
+                self.root / MANIFEST, body,
+                fault_clock=self.fault_clock, site=self.sites[1],
+            )
+        except (InjectedFault, OSError):
+            self.stats.write_failures += 1
+            return None
+        self._dirty = False
+        return target
+
+
 __all__ = [
     "CHECKSUM_KEY",
     "CorruptEntryError",
     "InjectedFault",
+    "MANIFEST",
+    "MemoTier",
     "QUARANTINE_DIR",
+    "TierStats",
     "body_checksum",
     "open_with_recovery",
     "quarantine_entry",

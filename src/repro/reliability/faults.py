@@ -7,8 +7,8 @@ named ``site``".  Plans are canonical JSON (schema
 is replayable bit-for-bit: same plan, same faults, same recovery path.
 
 A :class:`FaultClock` is the runtime half: components that opt into
-injection call :func:`check_fault` (or :meth:`FaultClock.raise_if`) at
-their named sites; the clock counts hits, fires the scheduled faults
+injection call :func:`check_fault` at their named sites and act out the
+fault themselves; the clock counts hits, fires the scheduled faults
 exactly once each, and keeps a log of what fired for telemetry.
 
 Every injection decision is taken in the *parent* process — the worker
@@ -96,39 +96,6 @@ class TornWriteFault(InjectedFault):
     """A storage write died halfway through its temporary file."""
 
     kind = "torn_write"
-
-
-class WorkerCrashFault(InjectedFault):
-    """A worker process died before returning its result."""
-
-    kind = "crash"
-
-
-class HungSolveFault(InjectedFault):
-    """A worker stopped answering; only a deadline gets the slot back."""
-
-    kind = "hang"
-
-
-class TransportDropFault(InjectedFault):
-    """The HTTP transport lost its connection."""
-
-    kind = "drop"
-
-
-#: kind -> exception class.
-_KIND_ERRORS = {
-    "error": StorageFault,
-    "torn_write": TornWriteFault,
-    "crash": WorkerCrashFault,
-    "hang": HungSolveFault,
-    "drop": TransportDropFault,
-}
-
-
-def fault_error(spec: "FaultSpec") -> InjectedFault:
-    """The typed exception a fired fault spec raises."""
-    return _KIND_ERRORS[spec.kind](spec)
 
 
 @dataclass(frozen=True, order=True)
@@ -293,12 +260,6 @@ class FaultClock:
             if spec is not None:
                 self.fired.append(spec.as_dict())
         return spec
-
-    def raise_if(self, site: str) -> None:
-        """``check`` and raise the mapped exception when a fault fires."""
-        spec = self.check(site)
-        if spec is not None:
-            raise fault_error(spec)
 
     def hits(self) -> dict[str, int]:
         """A copy of the per-site hit counters."""

@@ -32,35 +32,31 @@ canonical forms only, and the searches behind it (label-map and ordered
 configuration-map backtracking) dominate warm exploration wall-clock if
 recomputed, so they are first-class store entries alongside R / R̄ / RE.
 
-The disk tier is crash-safe (:mod:`repro.reliability.atomic`): atomic
-checksummed writes, quarantine-and-recompute for corrupt entries (an op
-entry whose child node was lost is quarantined too — recomputing brings
-the payload back), and a ``manifest.json`` graceful-shutdown marker
-(:meth:`ProblemStore.flush`) that decides between lazy and eager
-validation on reopen.  Entries written before the checksum layer are
-accepted as-is.
+The disk tier is crash-safe (:mod:`repro.reliability.atomic`, whose
+:class:`~repro.reliability.atomic.MemoTier` this store owns, as the
+service's report cache does): atomic checksummed writes,
+quarantine-and-recompute for entries that are corrupt or that the store
+cannot decode (an op entry whose child node was lost is quarantined too
+— recomputing brings the payload back; a node entry must be the
+normalize payload its digest names), and a manifest graceful-shutdown
+marker (:meth:`ProblemStore.flush`) that decides between lazy and eager
+validation on reopen.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.formalism.normalize import (
+    DIGEST_LENGTH,
     NormalForm,
     normal_form,
     problem_from_payload,
 )
 from repro.formalism.problems import Problem
-from repro.reliability.atomic import (
-    CorruptEntryError,
-    open_with_recovery,
-    quarantine_entry,
-    read_checked_json,
-    write_checked_json,
-)
-from repro.reliability.faults import FaultClock, InjectedFault
+from repro.reliability.atomic import MemoTier, TierStats
+from repro.reliability.faults import FaultClock
 from repro.roundelim.operators import (
     DEFAULT_ENGINE,
     apply_R,
@@ -68,8 +64,8 @@ from repro.roundelim.operators import (
     round_elimination,
 )
 from repro.utils import InvalidParameterError, SolverLimitError
+from repro.utils.serialization import result_digest
 
-NODE_SCHEMA = "repro.explore/node-v1"
 OP_SCHEMA = "repro.explore/op-v1"
 LINK_SCHEMA = "repro.explore/link-v1"
 STORE_MANIFEST_SCHEMA = "repro.explore/manifest-v1"
@@ -164,29 +160,19 @@ def _compute_task(task: tuple[dict, str, int, str]) -> dict:
 
 
 @dataclass
-class StoreStats:
+class StoreStats(TierStats):
     """Where answers came from during a store's lifetime."""
 
-    memory_hits: int = 0
-    disk_hits: int = 0
-    misses: int = 0
     computed: int = 0
     computed_links: int = 0
-    evictions: int = 0
-    quarantined: int = 0
-    write_failures: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "computed": self.computed,
-            "computed_links": self.computed_links,
-            "evictions": self.evictions,
-            "quarantined": self.quarantined,
-            "write_failures": self.write_failures,
-        }
+
+def _op_name(digest: str, op: str, budget: int) -> str:
+    return f"ops/{digest}.{op}.{budget}.json"
+
+
+def _decode_link(loaded: dict) -> dict:
+    return {"witness": loaded["witness"]}
 
 
 @dataclass
@@ -195,46 +181,17 @@ class ProblemStore:
 
     capacity: int = 4096
     root: Path | None = None
-    stats: StoreStats = field(default_factory=StoreStats)
     fault_clock: FaultClock | None = None
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise InvalidParameterError("store capacity must be >= 1")
-        self.recovery = {"graceful": True, "checked": 0, "quarantined": 0,
-                         "tmp_removed": 0}
-        if self.root is not None:
-            self.root = Path(self.root)
-            self.recovery = open_with_recovery(self.root, STORE_SUBDIRS)
-            self.stats.quarantined += self.recovery["quarantined"]
-        self._results: OrderedDict[tuple[str, str, int], dict] = OrderedDict()
+        self.stats = StoreStats()
+        self._tier = MemoTier(
+            self.capacity, self.root, STORE_SUBDIRS, self.stats,
+            fault_clock=self.fault_clock, sites=("store.write", "store.write"),
+        )
+        self.root = self._tier.root
+        self.recovery = self._tier.recovery
         self._payloads: dict[str, dict] = {}
-        self._dirty = False
-
-    def _write_entry(self, target: Path, body: dict) -> None:
-        """One crash-safe disk-tier write; failures degrade durability only."""
-        self._mark_dirty()
-        try:
-            write_checked_json(
-                target, body, fault_clock=self.fault_clock, site="store.write"
-            )
-        except (InjectedFault, OSError):
-            self.stats.write_failures += 1
-
-    def _mark_dirty(self) -> None:
-        """Drop the graceful-shutdown marker before the first mutation."""
-        if not self._dirty:
-            self._dirty = True
-            (self.root / "manifest.json").unlink(missing_ok=True)
-
-    def _read_entry(self, target: Path) -> dict | None:
-        """Load one disk entry; corrupt entries are quarantined (→ None)."""
-        try:
-            return read_checked_json(target)
-        except CorruptEntryError:
-            quarantine_entry(target, self.root)
-            self.stats.quarantined += 1
-            return None
 
     def flush(self) -> Path | None:
         """Write the shutdown manifest; its presence marks a graceful stop.
@@ -246,26 +203,11 @@ class ProblemStore:
         """
         if self.root is None:
             return None
-        census = {
-            sub: len(list((self.root / sub).glob("*.json")))
-            for sub in STORE_SUBDIRS
-        }
-        try:
-            target = write_checked_json(
-                self.root / "manifest.json",
-                {
-                    "schema": STORE_MANIFEST_SCHEMA,
-                    "entries": census,
-                    "stats": self.stats.as_dict(),
-                },
-                fault_clock=self.fault_clock,
-                site="store.write",
-            )
-        except (InjectedFault, OSError):
-            self.stats.write_failures += 1
-            return None
-        self._dirty = False
-        return target
+        return self._tier.flush({
+            "schema": STORE_MANIFEST_SCHEMA,
+            "entries": self._tier.census(),
+            "stats": self.stats.as_dict(),
+        })
 
     # -- interning ---------------------------------------------------------
 
@@ -279,30 +221,33 @@ class ProblemStore:
         """Record a canonical payload under its digest (both tiers)."""
         if digest not in self._payloads:
             self._payloads[digest] = payload
-            if self.root is not None:
-                target = self.root / "nodes" / f"{digest}.json"
-                if not target.exists():
-                    self._write_entry(target, {"schema": NODE_SCHEMA, **payload})
+            name = f"nodes/{digest}.json"
+            if self.root is not None and not (self.root / name).exists():
+                self._tier.write(name, payload)
 
     def payload_of(self, digest: str) -> dict:
         """The canonical payload of an interned digest (memory, then disk).
 
-        A corrupt node entry is quarantined and reported as unknown —
-        callers that got the digest from an op entry treat that as a
-        cache miss and recompute (the outcome carries the payload back).
+        A node entry is served as-is when it is the normalize payload
+        its digest names; any other node entry is quarantined and the
+        digest reported as unknown — callers that got the digest from an
+        op entry treat that as a cache miss and recompute (the outcome
+        carries the payload back).
         """
         payload = self._payloads.get(digest)
-        if payload is not None:
-            return payload
-        if self.root is not None:
-            target = self.root / "nodes" / f"{digest}.json"
-            if target.exists():
-                loaded = self._read_entry(target)
-                if loaded is not None:
-                    loaded.pop("schema", None)
-                    self._payloads[digest] = loaded
-                    return loaded
-        raise InvalidParameterError(f"unknown problem digest {digest!r}")
+        if payload is None:
+            payload = self._tier.read(
+                f"nodes/{digest}.json",
+                lambda loaded: (
+                    loaded
+                    if result_digest(loaded, length=DIGEST_LENGTH) == digest
+                    else None
+                ),
+            )
+            if payload is None:
+                raise InvalidParameterError(f"unknown problem digest {digest!r}")
+            self._payloads[digest] = payload
+        return payload
 
     def has_payload(self, digest: str) -> bool:
         """True when :meth:`payload_of` can answer for ``digest``."""
@@ -320,60 +265,35 @@ class ProblemStore:
 
     def lookup(self, digest: str, op: str, budget: int) -> dict | None:
         """A previously recorded outcome, or None (counts a miss)."""
-        key = (digest, op, budget)
-        entry = self._results.get(key)
-        if entry is not None:
-            self._results.move_to_end(key)
-            self.stats.memory_hits += 1
-            return entry
-        if self.root is not None:
-            target = self.root / "ops" / f"{digest}.{op}.{budget}.json"
-            if target.exists():
-                loaded = self._read_entry(target)
-                if loaded is not None and (
-                    loaded.get("child") is None
-                    or self.has_payload(loaded["child"])
-                ):
-                    entry = {"status": loaded["status"], "child": loaded["child"]}
-                    self._remember(key, entry)
-                    self.stats.disk_hits += 1
-                    return entry
-                if loaded is not None:
-                    # The op entry is intact but its child node was lost
-                    # (quarantined or never persisted): a hit would leave
-                    # an unresolvable digest in the graph, so quarantine
-                    # the op entry too and recompute — compute_step's
-                    # outcome carries the child payload back.
-                    quarantine_entry(target, self.root)
-                    self.stats.quarantined += 1
-        self.stats.misses += 1
-        return None
+        return self._tier.get(
+            (digest, op, budget), _op_name(digest, op, budget), self._decode_op
+        )
+
+    def _decode_op(self, loaded: dict) -> dict | None:
+        """An op entry's outcome; None when its child node was lost.
+
+        The op entry may be intact while its child node is gone
+        (quarantined or never persisted): a hit would leave an
+        unresolvable digest in the graph, so the entry is rejected —
+        quarantined too — and recomputed; compute_step's outcome
+        carries the child payload back.
+        """
+        child = loaded["child"]
+        if child is not None and not self.has_payload(child):
+            return None
+        return {"status": loaded["status"], "child": child}
 
     def record(self, digest: str, op: str, budget: int, outcome: dict) -> dict:
         """Merge one computed outcome into both tiers; returns the entry."""
         entry = {"status": outcome["status"], "child": outcome.get("child")}
         if outcome.get("child_payload") is not None:
             self.register_payload(outcome["child"], outcome["child_payload"])
-        self._remember((digest, op, budget), entry)
-        if self.root is not None:
-            self._write_entry(
-                self.root / "ops" / f"{digest}.{op}.{budget}.json",
-                {
-                    "schema": OP_SCHEMA,
-                    "digest": digest,
-                    "op": op,
-                    "budget": budget,
-                    **entry,
-                },
-            )
+        self._tier.put((digest, op, budget), entry)
+        self._tier.write(
+            _op_name(digest, op, budget),
+            {"schema": OP_SCHEMA, "digest": digest, "op": op, "budget": budget, **entry},
+        )
         return entry
-
-    def _remember(self, key: tuple[str, str, int], entry: dict) -> None:
-        self._results[key] = entry
-        self._results.move_to_end(key)
-        while len(self._results) > self.capacity:
-            self._results.popitem(last=False)
-            self.stats.evictions += 1
 
     def apply(
         self,
@@ -404,34 +324,17 @@ class ProblemStore:
         under the digest pair in both tiers.
         """
         key = (strict_digest, f"relax>{relaxed_digest}", 0)
-        entry = self._results.get(key)
-        if entry is not None:
-            self._results.move_to_end(key)
-            self.stats.memory_hits += 1
-            return entry
-        if self.root is not None:
-            target = self.root / "links" / f"{strict_digest}.{relaxed_digest}.json"
-            if target.exists():
-                loaded = self._read_entry(target)
-                if loaded is not None:
-                    entry = {"witness": loaded["witness"]}
-                    self._remember(key, entry)
-                    self.stats.disk_hits += 1
-                    return entry
-        self.stats.misses += 1
-        entry = compute_relaxation(
-            self.payload_of(strict_digest), self.payload_of(relaxed_digest)
-        )
-        self.stats.computed_links += 1
-        self._remember(key, entry)
-        if self.root is not None:
-            self._write_entry(
-                self.root / "links" / f"{strict_digest}.{relaxed_digest}.json",
-                {
-                    "schema": LINK_SCHEMA,
-                    "strict": strict_digest,
-                    "relaxed": relaxed_digest,
-                    **entry,
-                },
+        name = f"links/{strict_digest}.{relaxed_digest}.json"
+        entry = self._tier.get(key, name, _decode_link)
+        if entry is None:
+            entry = compute_relaxation(
+                self.payload_of(strict_digest), self.payload_of(relaxed_digest)
+            )
+            self.stats.computed_links += 1
+            self._tier.put(key, entry)
+            self._tier.write(
+                name,
+                {"schema": LINK_SCHEMA, "strict": strict_digest,
+                 "relaxed": relaxed_digest, **entry},
             )
         return entry

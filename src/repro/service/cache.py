@@ -1,8 +1,9 @@
 """The digest-keyed report cache: in-memory LRU over an on-disk tier.
 
 Same tiering discipline as the exploration engine's
-:class:`~repro.roundelim.explore.store.ProblemStore`, applied to whole
-request results: entries are keyed by the canonical request digest
+:class:`~repro.roundelim.explore.store.ProblemStore` — both own one
+:class:`~repro.reliability.atomic.MemoTier` — applied to whole request
+results: entries are keyed by the canonical request digest
 (:func:`~repro.service.protocol.request_digest`), the memory tier is a
 capacity-bounded LRU, and — when rooted on a directory — every record is
 written through as canonical JSON under ``root/reports/<digest>.json``,
@@ -10,33 +11,27 @@ so a killed-and-restarted daemon serves every previously computed answer
 from disk, byte-identical (the kill-and-restart test's property).
 
 The disk tier is crash-safe (:mod:`repro.reliability.atomic`): entries
-are written atomically with checksum footers, a corrupt entry found at
-lookup time is quarantined and treated as a miss (the caller recomputes;
-it never crashes a request), and opening a root whose shutdown manifest
-is missing — an ungraceful shutdown — sweeps and validates every entry
-first.  The manifest doubles as a dirty marker: it is removed on the
-first write after open and rewritten by :meth:`ReportCache.flush`, so
-only a graceful shutdown leaves the trusted-state marker behind.
+are written atomically with checksum footers, an entry found corrupt or
+without its ``kind`` and ``record`` at lookup time is quarantined and
+treated as a miss (the caller recomputes; it never crashes a request),
+and opening a root whose shutdown manifest is missing — an ungraceful
+shutdown — sweeps and validates every entry first.  The manifest doubles
+as a dirty marker: it is removed on the first write after open and
+rewritten by :meth:`ReportCache.flush`, so only a graceful shutdown
+leaves the trusted-state marker behind.
 
-Cached values are plain JSON dicts (``{"kind", "record"}``), never live
-objects: what the cache returns is exactly what went over the wire.
+Cached values are plain JSON dicts (``{"kind", "record",
+"record_json"}``), never live objects: what the cache returns is exactly
+what went over the wire.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from repro.reliability.atomic import (
-    CorruptEntryError,
-    open_with_recovery,
-    quarantine_entry,
-    read_checked_json,
-    write_checked_json,
-)
-from repro.reliability.faults import FaultClock, InjectedFault
-from repro.utils import InvalidParameterError
+from repro.reliability.atomic import MemoTier, TierStats
+from repro.reliability.faults import FaultClock
 from repro.utils.serialization import canonical_dumps
 
 CACHE_SCHEMA = "repro.service/cached-v1"
@@ -44,16 +39,10 @@ MANIFEST_SCHEMA = "repro.service/manifest-v1"
 
 
 @dataclass
-class CacheStats:
+class CacheStats(TierStats):
     """Where responses came from during a cache's lifetime."""
 
-    memory_hits: int = 0
-    disk_hits: int = 0
-    misses: int = 0
     stored: int = 0
-    evictions: int = 0
-    quarantined: int = 0
-    write_failures: int = 0
 
     @property
     def lookups(self) -> int:
@@ -68,16 +57,16 @@ class CacheStats:
         return (self.memory_hits + self.disk_hits) / lookups
 
     def as_dict(self) -> dict:
-        return {
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "stored": self.stored,
-            "evictions": self.evictions,
-            "quarantined": self.quarantined,
-            "write_failures": self.write_failures,
-            "hit_rate": round(self.hit_rate, 6),
-        }
+        return {**super().as_dict(), "hit_rate": round(self.hit_rate, 6)}
+
+
+def _entry(kind: str, record: dict) -> dict:
+    """A cache entry; ``record_json`` is rendered once per store/load."""
+    return {"kind": kind, "record": record, "record_json": canonical_dumps(record)}
+
+
+def _decode(loaded: dict) -> dict:
+    return _entry(loaded["kind"], loaded["record"])
 
 
 @dataclass
@@ -90,26 +79,19 @@ class ReportCache:
 
     capacity: int = 1024
     root: Path | None = None
-    stats: CacheStats = field(default_factory=CacheStats)
     fault_clock: FaultClock | None = None
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise InvalidParameterError("cache capacity must be >= 1")
-        self.recovery = {"graceful": True, "checked": 0, "quarantined": 0,
-                         "tmp_removed": 0}
-        if self.root is not None:
-            self.root = Path(self.root)
-            self.recovery = open_with_recovery(self.root, ("reports",))
-            self.stats.quarantined += self.recovery["quarantined"]
-        self._entries: OrderedDict[str, dict] = OrderedDict()
-        self._dirty = False
+        self.stats = CacheStats()
+        self._tier = MemoTier(
+            self.capacity, self.root, ("reports",), self.stats,
+            fault_clock=self.fault_clock, sites=("cache.write", "cache.manifest"),
+        )
+        self.root = self._tier.root
+        self.recovery = self._tier.recovery
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def _path(self, digest: str) -> Path:
-        return self.root / "reports" / f"{digest}.json"
+        return len(self._tier.entries)
 
     def lookup(self, digest: str) -> dict | None:
         """The cached entry, or None (counts a miss).
@@ -117,34 +99,12 @@ class ReportCache:
         Entries are ``{"kind", "record", "record_json"}`` —
         ``record_json`` is the record's canonical serialization, computed
         once per store/load so repeat responses can splice pre-rendered
-        bytes instead of re-encoding the record on every hit.  A corrupt
-        disk entry is quarantined and reported as a miss: the caller
-        recomputes, corruption never propagates into a response.
+        bytes instead of re-encoding the record on every hit.  A disk
+        entry that is corrupt or lacks a field is quarantined and
+        reported as a miss: the caller recomputes, corruption never
+        propagates into a response.
         """
-        entry = self._entries.get(digest)
-        if entry is not None:
-            self._entries.move_to_end(digest)
-            self.stats.memory_hits += 1
-            return entry
-        if self.root is not None:
-            target = self._path(digest)
-            if target.exists():
-                try:
-                    loaded = read_checked_json(target)
-                    entry = {
-                        "kind": loaded["kind"],
-                        "record": loaded["record"],
-                        "record_json": canonical_dumps(loaded["record"]),
-                    }
-                except (CorruptEntryError, KeyError, TypeError):
-                    quarantine_entry(target, self.root)
-                    self.stats.quarantined += 1
-                else:
-                    self._remember(digest, entry)
-                    self.stats.disk_hits += 1
-                    return entry
-        self.stats.misses += 1
-        return None
+        return self._tier.get(digest, f"reports/{digest}.json", _decode)
 
     def record(self, digest: str, kind: str, record: dict) -> dict:
         """Store one computed result in both tiers; returns the entry.
@@ -154,48 +114,14 @@ class ReportCache:
         process, the failure is counted, and the answer is simply
         recomputed after a restart.
         """
-        entry = {
-            "kind": kind,
-            "record": record,
-            "record_json": canonical_dumps(record),
-        }
-        self._remember(digest, entry)
+        entry = _entry(kind, record)
+        self._tier.put(digest, entry)
         self.stats.stored += 1
-        if self.root is not None:
-            self._mark_dirty()
-            try:
-                write_checked_json(
-                    self._path(digest),
-                    {
-                        "schema": CACHE_SCHEMA,
-                        "digest": digest,
-                        "kind": kind,
-                        "record": record,
-                    },
-                    fault_clock=self.fault_clock,
-                    site="cache.write",
-                )
-            except (InjectedFault, OSError):
-                self.stats.write_failures += 1
+        self._tier.write(
+            f"reports/{digest}.json",
+            {"schema": CACHE_SCHEMA, "digest": digest, "kind": kind, "record": record},
+        )
         return entry
-
-    def _mark_dirty(self) -> None:
-        """Drop the graceful-shutdown marker before the first mutation.
-
-        While the cache is live its directory is not in a trusted state;
-        removing the manifest now means a crash before :meth:`flush`
-        forces the next open through the recovery sweep.
-        """
-        if not self._dirty:
-            self._dirty = True
-            (self.root / "manifest.json").unlink(missing_ok=True)
-
-    def _remember(self, digest: str, entry: dict) -> None:
-        self._entries[digest] = entry
-        self._entries.move_to_end(digest)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
 
     def flush(self) -> Path | None:
         """Write the shutdown manifest (entry census + stats) to disk.
@@ -210,20 +136,8 @@ class ReportCache:
         """
         if self.root is None:
             return None
-        reports = sorted(path.stem for path in (self.root / "reports").glob("*.json"))
-        try:
-            target = write_checked_json(
-                self.root / "manifest.json",
-                {
-                    "schema": MANIFEST_SCHEMA,
-                    "reports": len(reports),
-                    "stats": self.stats.as_dict(),
-                },
-                fault_clock=self.fault_clock,
-                site="cache.manifest",
-            )
-        except (InjectedFault, OSError):
-            self.stats.write_failures += 1
-            return None
-        self._dirty = False
-        return target
+        return self._tier.flush({
+            "schema": MANIFEST_SCHEMA,
+            "reports": self._tier.census()["reports"],
+            "stats": self.stats.as_dict(),
+        })

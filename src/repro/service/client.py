@@ -42,7 +42,7 @@ import socket
 import time
 import urllib.parse
 
-from repro.reliability.faults import FaultClock, TransportDropFault, check_fault
+from repro.reliability.faults import FaultClock, check_fault
 from repro.service.protocol import roundelim_request, solve_request
 from repro.utils import InvalidParameterError, ReproError
 from repro.utils.serialization import canonical_dumps
@@ -193,7 +193,6 @@ class ServiceClient:
             try:
                 status, hint, text = self._attempt(path, payload)
             except (
-                TransportDropFault,
                 ConnectionError,
                 TimeoutError,
                 socket.timeout,

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.reliability.atomic import write_checked_json
 from repro.reliability.faults import (
     FAULT_KINDS,
     FAULT_SITES,
@@ -12,14 +13,10 @@ from repro.reliability.faults import (
     FaultClock,
     FaultPlan,
     FaultSpec,
-    HungSolveFault,
     InjectedFault,
     StorageFault,
     TornWriteFault,
-    TransportDropFault,
-    WorkerCrashFault,
     check_fault,
-    fault_error,
 )
 from repro.utils import InvalidParameterError
 
@@ -52,21 +49,17 @@ class TestFaultSpec:
         with pytest.raises(InvalidParameterError):
             FaultSpec(site="cache.write", hit=hit, kind="error")
 
-    def test_typed_errors_carry_the_spec(self):
-        expectations = {
-            ("cache.write", "error"): StorageFault,
-            ("cache.write", "torn_write"): TornWriteFault,
-            ("worker.exec", "crash"): WorkerCrashFault,
-            ("worker.exec", "hang"): HungSolveFault,
-            ("client.send", "drop"): TransportDropFault,
-        }
-        for (site, kind), expected in expectations.items():
-            spec = FaultSpec(site=site, hit=1, kind=kind)
-            error = fault_error(spec)
-            assert isinstance(error, expected)
-            assert isinstance(error, InjectedFault)
-            assert error.spec == spec
-            assert error.code == "injected-fault"
+    def test_typed_errors_carry_the_spec(self, tmp_path):
+        for kind, expected in (("error", StorageFault), ("torn_write", TornWriteFault)):
+            spec = FaultSpec(site="cache.write", hit=1, kind=kind)
+            clock = FaultClock(FaultPlan.from_faults([spec]))
+            with pytest.raises(expected) as raised:
+                write_checked_json(
+                    tmp_path / "entry.json", {"a": 1}, fault_clock=clock, site="cache.write"
+                )
+            assert isinstance(raised.value, InjectedFault)
+            assert raised.value.spec == spec
+            assert raised.value.code == "injected-fault"
 
 
 class TestFaultPlan:
@@ -130,11 +123,6 @@ class TestFaultClock:
         assert clock.check("cache.write") is None
         assert clock.fired == [fired.as_dict()]
         assert clock.exhausted()
-
-    def test_raise_if_raises_the_typed_error(self):
-        clock = FaultClock(FaultPlan.from_faults([("client.send", 1, "drop")]))
-        with pytest.raises(TransportDropFault):
-            clock.raise_if("client.send")
 
     def test_unknown_site_rejected(self):
         with pytest.raises(InvalidParameterError):

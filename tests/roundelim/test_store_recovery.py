@@ -1,4 +1,4 @@
-"""ProblemStore crash-safety: corrupt nodes/ops, quarantine, resume parity.
+"""ProblemStore crash-safety: corrupt nodes/ops/links, quarantine, resume parity.
 
 Extends the kill-and-resume property from the frontier tests: not only
 may a run stop at any point, the directory it left behind may also be
@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.api import ProblemSpec
+from repro.problems.matching import pi_matching
 from repro.reliability.atomic import QUARANTINE_DIR
 from repro.reliability.faults import FaultClock, FaultPlan
 from repro.roundelim.explore import (
@@ -35,6 +36,9 @@ CORRUPTIONS = {
     "bad-checksum": lambda p: p.write_text(
         json.dumps({**json.loads(p.read_text()), "status": "tampered"})
     ),
+    # Parses and carries no footer, so it passes the checksum layer as an
+    # entry written before it; only the owner's decoding can reject it.
+    "shapeless": lambda p: p.write_text("{}"),
 }
 
 
@@ -99,6 +103,21 @@ class TestNodeEntryCorruption:
         # must serve the exact bytes the original one did.
         recovered = ProblemStore(root=tmp_path).payload_of(child)
         assert canonical_dumps(recovered) == original
+
+
+class TestLinkEntryCorruption:
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS), ids=str)
+    def test_corrupt_link_entry_recomputes_identically(self, tmp_path, corruption):
+        roots = [pi_matching(3, 0, 1)]
+        limits = ExplorationLimits(max_depth=1, max_nodes=2)
+        first = explore(roots, limits=limits, store=ProblemStore(root=tmp_path))
+        (link_entry,) = (tmp_path / "links").glob("*.json")
+        CORRUPTIONS[corruption](link_entry)
+        store = ProblemStore(root=tmp_path)
+        second = explore(roots, limits=limits, store=store)
+        assert second.canonical_json() == first.canonical_json()
+        assert store.stats.quarantined >= 1
+        assert store.stats.computed_links == 1
 
 
 class TestManifestLifecycle:

@@ -41,6 +41,9 @@ CORRUPTIONS = {
     "bad-checksum": lambda p: p.write_text(
         json.dumps({**json.loads(p.read_text()), "record": {"tampered": 1}})
     ),
+    # Parses and carries no footer, so it passes the checksum layer as an
+    # entry written before it; only the owner's decoding can reject it.
+    "shapeless": lambda p: p.write_text("{}"),
 }
 
 
