@@ -38,6 +38,7 @@ WORKLOADS = {
     "smoke": (
         ("matching", 3, lambda: pi_matching(3, 0, 1)),
         ("matching", 4, lambda: pi_matching(4, 0, 1)),
+        ("matching", 5, lambda: pi_matching(5, 0, 1)),
         ("maximal-matching", 3, lambda: maximal_matching_problem(3)),
         ("maximal-matching", 4, lambda: maximal_matching_problem(4)),
     ),

@@ -13,7 +13,20 @@ Two checkers are provided:
   backtracking search (:func:`find_label_relaxation`); a label map induces
   a configuration map with r(ℓ) = {g(ℓ)};
 * explicit ordered-configuration maps (:func:`is_relaxation_via_config_map`),
-  matching the paper's general definition verbatim.
+  matching the paper's general definition verbatim, with a complete
+  search (:func:`find_config_map_relaxation`).
+
+Both searches compile the relaxed problem once
+(:class:`~repro.formalism.encoding.ProblemEncoding`) and ask its
+constraint tables.  "Can this partial image still extend?" is one set
+lookup of a sorted bit tuple.  "Is every choice that sends this slot to
+that receiver allowed?" is one bit of the memoized valid-addition mask
+of :class:`~repro.formalism.encoding.SearchContext`, the question the
+round elimination kernel asks of set configurations.  Each search
+re-checks only what an assignment changed — the configurations holding
+the label just mapped, or the choices using a newly added
+(label → receiver) pair — since it descends only from states that
+passed the check.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ from collections.abc import Mapping, Sequence
 from itertools import product
 
 from repro.formalism.configurations import Configuration, Label
+from repro.formalism.encoding import ProblemEncoding, SearchContext
 from repro.formalism.problems import Problem
 from repro.utils import FormalismError
 
@@ -72,41 +86,48 @@ def find_label_relaxation(
     if not source_labels:
         return {}
 
-    white_configs = list(strict.white)
-    black_configs = list(strict.black)
+    compiled = ProblemEncoding.compile(relaxed)
+    sides = (
+        (compiled.white.partials, strict.white),
+        (compiled.black.partials, strict.black),
+    )
+    # Every partial image starts out empty, and the empty multiset extends
+    # exactly when the relaxed side allows some configuration.
+    if any(len(configs) and () not in partials for partials, configs in sides):
+        return None
+    # The configurations whose partial image changes when a label is mapped.
+    touching: dict[Label, list] = {label: [] for label in source_labels}
+    for partials, configs in sides:
+        for config in configs:
+            for label in config.support:
+                touching[label].append((partials, config.labels))
 
-    def viable(mapping: dict[Label, Label]) -> bool:
+    def viable(label: Label, mapping: dict[Label, int]) -> bool:
         """Prune: can every partially mapped configuration still land
-        inside the relaxed constraint?"""
-        for config in white_configs:
-            partial = Counter(
-                mapping[label] for label in config if label in mapping
-            )
-            if not relaxed.white.allows_partial(partial, sum(partial.values())):
-                return False
-        for config in black_configs:
-            partial = Counter(
-                mapping[label] for label in config if label in mapping
-            )
-            if not relaxed.black.allows_partial(partial, sum(partial.values())):
+        inside the relaxed constraint?  The mapping was viable before
+        ``label`` was mapped, so only configurations holding it can fail."""
+        for partials, config in touching[label]:
+            image = sorted(mapping[item] for item in config if item in mapping)
+            if tuple(image) not in partials:
                 return False
         return True
 
     # Assign the most-used labels first: they constrain the search hardest.
     usage = Counter()
-    for config in white_configs + black_configs:
+    for config in list(strict.white) + list(strict.black):
         usage.update(config.support)
     order = sorted(source_labels, key=lambda label: -usage[label])
 
-    def backtrack(index: int, mapping: dict[Label, Label]):
+    def backtrack(index: int, mapping: dict[Label, int]):
         if index == len(order):
-            if is_relaxation_via_label_map(strict, relaxed, mapping):
-                return dict(mapping)
+            found = {label: target_labels[bit] for label, bit in mapping.items()}
+            if is_relaxation_via_label_map(strict, relaxed, found):
+                return found
             return None
         label = order[index]
-        for target in target_labels:
-            mapping[label] = target
-            if viable(mapping):
+        for bit in range(len(target_labels)):
+            mapping[label] = bit
+            if viable(label, mapping):
                 found = backtrack(index + 1, mapping)
                 if found is not None:
                     return found
@@ -201,41 +222,66 @@ def find_config_map_relaxation(
     targets = _ordered_targets(relaxed)
     if not targets:
         return None
-    black_configs = [config.labels for config in strict.black]
+    compiled = ProblemEncoding.compile(relaxed)
+    encode = compiled.encoding.index
+    full_mask = compiled.encoding.full_mask
+    black = SearchContext(compiled.black)
+    # A black configuration without labels has one choice, the empty one,
+    # and no (label → receiver) pair the search adds ever touches it.
+    if any(not config.size for config in strict.black):
+        if () not in black.table.allowed:
+            return None
+    # rests[ℓ]: each black configuration holding ℓ, less one occurrence of ℓ.
+    rests: dict[Label, list[tuple[Label, ...]]] = {}
+    for config in strict.black:
+        for label in config.support:
+            rest = list(config.labels)
+            rest.remove(label)
+            rests.setdefault(label, []).append(tuple(rest))
 
-    def black_violated(receivers: dict[Label, set[Label]]) -> bool:
-        for config in black_configs:
-            choice_sets = [sorted(receivers.get(label, ())) for label in config]
-            if any(not choices for choices in choice_sets):
+    def violated_by(src_label: Label, dst_bit: int, receivers) -> bool:
+        """Does some choice that sends one ``src_label`` slot to
+        ``dst_bit`` fall outside the relaxed black constraint?  That is:
+        is ``dst_bit`` no valid addition next to the receiver sets of the
+        configuration's other slots?"""
+        for rest in rests.get(src_label, ()):
+            others = [receivers.get(label, 0) for label in rest]
+            if not all(others):
                 continue  # some label has no receiver yet: vacuous for now
-            for choice in product(*choice_sets):
-                if not relaxed.black.allows_multiset(choice):
-                    return True
+            valid = black.valid_additions(black.canonical(others), full_mask)
+            if not valid >> dst_bit & 1:
+                return True
         return False
 
     assignment: dict[tuple[Label, ...], tuple[Label, ...]] = {}
 
-    def backtrack(index: int, receivers: dict[Label, set[Label]]):
+    def backtrack(index: int, receivers: dict[Label, int]):
         if index == len(sources):
             return dict(assignment)
         source = tuple(sources[index].labels)
         for target in targets:
             if len(target) != len(source):
                 continue
-            added: list[tuple[Label, Label]] = []
+            added: list[tuple[Label, int]] = []
             for src_label, dst_label in zip(source, target):
-                bucket = receivers.setdefault(src_label, set())
-                if dst_label not in bucket:
-                    bucket.add(dst_label)
-                    added.append((src_label, dst_label))
-            if not black_violated(receivers):
+                dst_bit = encode[dst_label]
+                bucket = receivers.get(src_label, 0)
+                if not bucket >> dst_bit & 1:
+                    receivers[src_label] = bucket | 1 << dst_bit
+                    added.append((src_label, dst_bit))
+            # The state before this assignment violated nothing, so only
+            # choices using a newly added (label → receiver) pair can.
+            if not any(
+                violated_by(src_label, dst_bit, receivers)
+                for src_label, dst_bit in added
+            ):
                 assignment[source] = target
                 found = backtrack(index + 1, receivers)
                 if found is not None:
                     return found
                 del assignment[source]
-            for src_label, dst_label in added:
-                receivers[src_label].discard(dst_label)
+            for src_label, dst_bit in added:
+                receivers[src_label] &= ~(1 << dst_bit)
         return None
 
     return backtrack(0, {})

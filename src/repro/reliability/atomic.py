@@ -5,27 +5,32 @@ and the :class:`~repro.roundelim.explore.store.ProblemStore` goes
 through this module, and both stores are thin owners of one
 :class:`MemoTier`:
 
-* **atomic writes** — render to a temporary file in the target
-  directory, then ``os.replace``; a crash (or injected torn write) at
-  any point leaves either the old entry or a stray ``*.tmp``, never a
-  half-written visible file;
+* **atomic writes** — :func:`~repro.utils.serialization.write_atomic`
+  renders to a temporary file in the target directory, then
+  ``os.replace``; a crash (or injected torn write) at any point leaves
+  either the old entry or a stray ``*.tmp``, never a half-written
+  visible file;
 * **checksum footers** — every entry carries a ``checksum`` field over
   the canonical encoding of the rest of the record, so silent on-disk
   corruption (truncation, bit rot, a concurrent non-atomic writer) is
   *detected* at read time instead of surfacing as a JSON error or —
   worse — a wrong answer;
 * **quarantine** — a corrupt entry, or one its owner cannot decode, is
-  moved to ``root/quarantine/`` (never deleted: it is evidence) and the
-  caller recomputes;
+  moved to the tier's ``quarantine/`` (never deleted: it is evidence)
+  and the caller recomputes;
 * **recovery sweep** — on reopening a store whose shutdown manifest is
   missing (an ungraceful shutdown), every entry is validated eagerly,
-  corrupt ones are quarantined, and stray temporary files are removed.
+  corrupt ones are quarantined, and stray temporary files are removed;
+* **results version** — a tier lives in ``root/r<RESULTS_VERSION>/``,
+  so results computed under another meaning are never served.  Nothing
+  removes a tree of another version (or the unversioned layout, with
+  entries directly under ``root/``): it is never read again and can be
+  deleted by hand.
 
-Entries written before the checksum layer existed (no ``checksum``
-field) pass :func:`read_checked_json` as long as they parse — the
-footer is verified only when present, so old store directories resume
-without recomputation; the owner's decoder still rejects a parsed entry
-that lacks a field it needs.
+An entry without a ``checksum`` field passes :func:`read_checked_json`
+as long as it parses — the footer is verified only when present; the
+owner's decoder still rejects a parsed entry that lacks a field it
+needs.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -46,9 +50,17 @@ from repro.reliability.faults import (
     check_fault,
 )
 from repro.utils import InvalidParameterError, ReproError
-from repro.utils.serialization import canonical_dumps
+from repro.utils.serialization import canonical_dumps, write_atomic
 
 CHECKSUM_KEY = "checksum"
+
+#: The version of the results this program computes.  A declared change
+#: to what a stored result means (a record's bytes, or the outcome an
+#: operator's budget allows) bumps it.  A :class:`MemoTier` keeps its
+#: entries under ``root/r<RESULTS_VERSION>/``, so a tree written under
+#: another version — or in the unversioned layout of version 1, with
+#: entries directly under ``root/`` — is never read.
+RESULTS_VERSION = 2
 
 #: Directory (under a store root) corrupt entries are moved into.
 QUARANTINE_DIR = "quarantine"
@@ -80,10 +92,9 @@ def write_checked_json(
 ) -> Path:
     """Atomically write ``value`` as canonical JSON with a checksum footer.
 
-    The rendered bytes land in a ``*.tmp`` sibling first and are moved
-    over the target with ``os.replace``, so the visible file is always
-    either the previous version or the complete new one.  When a fault
-    clock and site are given, scheduled faults fire here:
+    The write goes through :func:`write_atomic`, so the visible file is
+    always either the previous version or the complete new one.  When a
+    fault clock and site are given, scheduled faults fire here:
 
     * ``error`` — raises before anything is written;
     * ``torn_write`` — writes half the bytes to the temp file, then
@@ -92,22 +103,13 @@ def write_checked_json(
       truncated in place: the silent-corruption case checksums catch.
     """
     target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
     body = {**value, CHECKSUM_KEY: body_checksum(value)}
     data = (canonical_dumps(body, indent=indent) + "\n").encode("utf-8")
     spec = check_fault(fault_clock, site) if site is not None else None
     if spec is not None and spec.kind == "error":
         raise StorageFault(spec)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=target.parent, prefix=f"{target.name}.", suffix=".tmp"
-    )
-    with os.fdopen(fd, "wb") as handle:
-        if spec is not None and spec.kind == "torn_write":
-            handle.write(data[: len(data) // 2])
-            handle.flush()
-            raise TornWriteFault(spec)
-        handle.write(data)
-    os.replace(tmp_name, target)
+    torn = spec is not None and spec.kind == "torn_write"
+    write_atomic(target, data, tear=TornWriteFault(spec) if torn else None)
     if spec is not None and spec.kind == "corrupt":
         raw = target.read_bytes()
         target.write_bytes(raw[: len(raw) // 2])
@@ -246,14 +248,15 @@ class TierStats:
 class MemoTier:
     """A capacity-bounded LRU in front of an optional crash-safe disk tier.
 
-    The protocol both disk-backed memos share.  Opening a ``root`` runs
+    The protocol both disk-backed memos share.  The disk tier lives in
+    ``home``, the directory ``root/r<RESULTS_VERSION>/``; opening it runs
     :func:`open_with_recovery` over its ``subdirs``; :meth:`get` answers
     from memory, then from disk (promoting the entry), else counts a
     miss; :meth:`read` quarantines every entry it cannot serve;
     :meth:`write` drops the manifest before the first write and counts a
     failed write instead of raising it; :meth:`flush` rewrites the
     manifest.  Owners keep what is theirs: entry names (paths relative
-    to ``root``), how an entry decodes, and the bodies they write.
+    to ``home``), how an entry decodes, and the bodies they write.
     Entry writes pass the fault site ``sites[0]``, the manifest write
     ``sites[1]``.  Without a root, the tier is the LRU alone.
     """
@@ -272,6 +275,7 @@ class MemoTier:
             raise InvalidParameterError("capacity must be >= 1")
         self.capacity = capacity
         self.root = None if root is None else Path(root)
+        self.home = None if root is None else self.root / f"r{RESULTS_VERSION}"
         self.subdirs = subdirs
         self.stats = stats
         self.fault_clock = fault_clock
@@ -279,8 +283,8 @@ class MemoTier:
         self.entries: OrderedDict = OrderedDict()
         self.recovery = {"graceful": True, "checked": 0, "quarantined": 0,
                          "tmp_removed": 0}
-        if self.root is not None:
-            self.recovery = open_with_recovery(self.root, subdirs)
+        if self.home is not None:
+            self.recovery = open_with_recovery(self.home, subdirs)
             stats.quarantined += self.recovery["quarantined"]
         self._dirty = False
 
@@ -307,9 +311,9 @@ class MemoTier:
         missing or mistyped field), is quarantined and counted: the
         caller recomputes, and a bad entry never reaches an answer.
         """
-        if self.root is None:
+        if self.home is None:
             return None
-        target = self.root / name
+        target = self.home / name
         if not target.exists():
             return None
         try:
@@ -317,7 +321,7 @@ class MemoTier:
         except (CorruptEntryError, KeyError, TypeError):
             entry = None
         if entry is None:
-            quarantine_entry(target, self.root)
+            quarantine_entry(target, self.home)
             self.stats.quarantined += 1
         return entry
 
@@ -339,14 +343,14 @@ class MemoTier:
         availability: it is counted, and the memory tier still serves
         the entry.
         """
-        if self.root is None:
+        if self.home is None:
             return
         if not self._dirty:
             self._dirty = True
-            (self.root / MANIFEST).unlink(missing_ok=True)
+            (self.home / MANIFEST).unlink(missing_ok=True)
         try:
             write_checked_json(
-                self.root / name, body,
+                self.home / name, body,
                 fault_clock=self.fault_clock, site=self.sites[0],
             )
         except (InjectedFault, OSError):
@@ -355,7 +359,7 @@ class MemoTier:
     def census(self) -> dict[str, int]:
         """Entries on disk per subdirectory (for the manifest body)."""
         return {
-            sub: len(list((self.root / sub).glob("*.json")))
+            sub: len(list((self.home / sub).glob("*.json")))
             for sub in self.subdirs
         }
 
@@ -367,11 +371,11 @@ class MemoTier:
         (None) without a root; a failed write is counted and swallowed —
         the next open simply takes the recovery path.
         """
-        if self.root is None:
+        if self.home is None:
             return None
         try:
             target = write_checked_json(
-                self.root / MANIFEST, body,
+                self.home / MANIFEST, body,
                 fault_clock=self.fault_clock, site=self.sites[1],
             )
         except (InjectedFault, OSError):
@@ -388,6 +392,7 @@ __all__ = [
     "MANIFEST",
     "MemoTier",
     "QUARANTINE_DIR",
+    "RESULTS_VERSION",
     "TierStats",
     "body_checksum",
     "open_with_recovery",

@@ -12,11 +12,12 @@ node record and one memoized result per operator.  Two tiers:
   computed step available, which is what makes exploration runs
   kill-and-resume safe.
 
-Layout of the disk tier::
+Layout of the disk tier, whose home is ``root/r<RESULTS_VERSION>/``
+(:data:`~repro.reliability.atomic.RESULTS_VERSION`)::
 
-    root/nodes/<digest>.json               canonical problem payload
-    root/ops/<digest>.<op>.<budget>.json   operator outcome
-    root/links/<strict>.<relaxed>.json     relaxation-witness outcome
+    home/nodes/<digest>.json               canonical problem payload
+    home/ops/<digest>.<op>.<budget>.json   operator outcome
+    home/links/<strict>.<relaxed>.json     relaxation-witness outcome
 
 An operator outcome records ``status`` (``"ok"`` or
 ``"budget_exhausted"``) and the child digest; results are stored as
@@ -222,7 +223,7 @@ class ProblemStore:
         if digest not in self._payloads:
             self._payloads[digest] = payload
             name = f"nodes/{digest}.json"
-            if self.root is not None and not (self.root / name).exists():
+            if self.root is not None and not (self._tier.home / name).exists():
                 self._tier.write(name, payload)
 
     def payload_of(self, digest: str) -> dict:

@@ -11,16 +11,25 @@ Given Π = (Σ, C_W, C_B), the problem R(Π) = (Σ′, C′_W, C′_B) is define
 
 R̄ is R with the two constraints' roles swapped, and RE(Π) := R̄(R(Π)).
 
-The maximal-configuration computation is exact: validity of set
-configurations is downward closed (component-wise), so every maximal
-configuration is reachable from a singleton seed {ℓ1}…{ℓ_dB} (one per
-allowed base configuration) by single-label additions, and a configuration
-is maximal iff no single addition keeps it valid.  The search memoizes
-canonical forms; a configurable budget guards against blow-up.  The
-budget counts every *popped* configuration — duplicates included — so a
-duplicate-heavy frontier cannot exceed it unbounded, and the seed order
-is explicitly sorted so the same budget raises at the same point in
-every process (hash randomization does not leak into the search order).
+The maximal-configuration computation is exact and searches right-closed
+sets only.  Validity of set configurations is downward closed
+(component-wise), and a configuration is maximal iff no single addition
+keeps it valid.  When X is at least as strong as Y w.r.t. C_B (paper §2,
+:mod:`repro.formalism.diagrams`), adding X to a slot holding Y keeps a
+valid configuration valid, so every slot of a maximal configuration is
+right-closed: it holds every candidate label at least as strong as one
+of its members.  The search therefore starts from closed seeds — one per
+allowed base configuration, each slot the closure of its label — and
+adds a label together with its closure (restricted to the candidate
+alphabet); every maximal configuration is reached through configurations
+whose slots are all right-closed.  The search memoizes canonical forms;
+a configurable budget guards against blow-up.  The budget counts every
+*popped* configuration of this closed search, so a duplicate-heavy
+frontier cannot exceed it unbounded, and the seed order is explicitly
+sorted so the same budget raises at the same point in every process
+(hash randomization does not leak into the search order).  The closed
+search pops a subset of what a search over all label sets pops (on
+Π_4(0,1)'s black side, 44 configurations instead of 1,001).
 
 Two interchangeable engines compute the operators:
 
@@ -29,7 +38,8 @@ Two interchangeable engines compute the operators:
   :mod:`repro.formalism.encoding`; same outputs, same budget semantics,
   several times faster (``benchmarks/bench_roundelim_kernel.py``).
 * ``"reference"`` — the direct string/frozenset implementation below,
-  kept as the executable specification the kernel is tested against.
+  kept as the executable specification the kernel is tested against;
+  it decides strength with :func:`repro.formalism.diagrams.is_at_least_as_strong`.
 """
 
 from __future__ import annotations
@@ -112,8 +122,8 @@ def maximal_set_configurations(
 ) -> frozenset[SetConfig]:
     """All maximal set configurations of a constraint (the C′_B of R).
 
-    ``budget`` bounds the number of popped configurations (duplicates
-    included); the search raises :class:`SolverLimitError` rather than
+    ``budget`` bounds the number of configurations the right-closed
+    search pops; the search raises :class:`SolverLimitError` rather than
     silently truncate, because downstream lower-bound certificates rely
     on exactness.
     """
@@ -123,15 +133,33 @@ def maximal_set_configurations(
 
         return maximal_set_configurations_kernel(constraint, alphabet, budget)
 
+    from repro.formalism.diagrams import is_at_least_as_strong
+
     arity = constraint.size
     allowed: frozenset[tuple[Label, ...]] = frozenset(
         config.labels for config in constraint.configurations
     )
     labels = sorted(alphabet)
+    closures: dict[Label, frozenset[Label]] = {}
+
+    def closure(label: Label) -> frozenset[Label]:
+        """``label`` with every candidate label at least as strong."""
+        got = closures.get(label)
+        if got is None:
+            got = frozenset(
+                [label]
+                + [
+                    strong
+                    for strong in labels
+                    if is_at_least_as_strong(strong, label, constraint)
+                ]
+            )
+            closures[label] = got
+        return got
 
     seeds = sorted(
         {
-            _canonical_set_config(tuple(frozenset([label]) for label in config.labels))
+            _canonical_set_config(tuple(closure(label) for label in config.labels))
             for config in constraint.configurations
         },
         key=lambda config: tuple(_slot_sort_key(slot) for slot in config),
@@ -161,7 +189,7 @@ def maximal_set_configurations(
                 if _addition_valid(config, index, label, allowed):
                     extendable = True
                     grown = _canonical_set_config(
-                        config[:index] + (slot | {label},) + config[index + 1 :]
+                        config[:index] + (slot | closure(label),) + config[index + 1 :]
                     )
                     if grown not in seen:
                         seen.add(grown)

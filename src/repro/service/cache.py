@@ -6,9 +6,10 @@ Same tiering discipline as the exploration engine's
 results: entries are keyed by the canonical request digest
 (:func:`~repro.service.protocol.request_digest`), the memory tier is a
 capacity-bounded LRU, and — when rooted on a directory — every record is
-written through as canonical JSON under ``root/reports/<digest>.json``,
-so a killed-and-restarted daemon serves every previously computed answer
-from disk, byte-identical (the kill-and-restart test's property).
+written through as canonical JSON under
+``root/r<RESULTS_VERSION>/reports/<digest>.json``, so a killed-and-restarted
+daemon serves every previously computed answer from disk, byte-identical
+(the kill-and-restart test's property).
 
 The disk tier is crash-safe (:mod:`repro.reliability.atomic`): entries
 are written atomically with checksum footers, an entry found corrupt or

@@ -24,14 +24,13 @@ import json
 import signal
 import sys
 import threading
-from pathlib import Path
 
 from repro import api
 from repro.service.client import ServiceClient
 from repro.service.httpd import ServiceHTTPServer
 from repro.service.server import SolveService
 from repro.utils import ReproError
-from repro.utils.serialization import canonical_dumps
+from repro.utils.serialization import canonical_dumps, write_atomic
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,7 +114,8 @@ def _cmd_serve(args) -> int:
     )
     host, port = server.server_address[:2]
     if args.ready_file:
-        Path(args.ready_file).write_text(f"{host} {port}\n")
+        # Atomic, so a poller never reads the file before the address is in.
+        write_atomic(args.ready_file, f"{host} {port}\n".encode())
     print(f"solve service listening on http://{host}:{port}", file=sys.stderr)
 
     def _stop(_signum, _frame):

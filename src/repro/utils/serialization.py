@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import re
 from collections.abc import Callable
 from pathlib import Path
@@ -120,32 +121,52 @@ def _spliced_dumps(value) -> str | None:
     return "".join(pieces)
 
 
+def write_atomic(
+    path: str | Path, data: bytes, *, tear: BaseException | None = None
+) -> Path:
+    """Replace ``path`` by ``data`` atomically, creating parent directories.
+
+    The bytes land in a ``<name>.<random>.tmp`` sibling first and are
+    moved over the target with ``os.replace``, so a reader — or a crash —
+    sees either the previous file or the complete new one, never a
+    half-written one.  The temporary file is created with mode 0666, so
+    the process umask sets the file's mode, as it does for a shell
+    redirect.  ``tear`` simulates a crash mid-write: half the bytes reach
+    the temporary file, which is left behind for the recovery sweep, and
+    ``tear`` is raised.  On a real failure the temporary file is removed.
+    """
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    while True:
+        tmp = target.with_name(f"{target.name}.{os.urandom(4).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            break
+        except FileExistsError:
+            continue
+    if tear is not None:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data[: len(data) // 2])
+        raise tear
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return target
+
+
 def write_json(path: str | Path, value, indent: int | None = 2) -> Path:
     """Write ``value`` as canonical JSON, creating parent directories.
 
-    The write is atomic (temp file in the target directory, then
-    ``os.replace``): a reader — or a crash — never observes a
-    half-written file, only the old version or the new one.
+    The write is atomic (:func:`write_atomic`): a reader — or a crash —
+    never observes a half-written file, only the old version or the new
+    one.
     """
-    import os
-    import tempfile
-
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=target.parent, prefix=f"{target.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(canonical_dumps(value, indent=indent) + "\n")
-        os.replace(tmp_name, target)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return target
+    text = canonical_dumps(value, indent=indent) + "\n"
+    return write_atomic(path, text.encode("utf-8"))
 
 
 def result_digest(value, length: int = 16) -> str:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.formalism.configurations import Configuration
-from repro.formalism.constraints import Constraint
+from repro.formalism.constraints import Constraint, sub_multiset_closure
 from repro.formalism.encoding import (
     ConstraintTable,
     LabelEncoding,
@@ -12,7 +12,7 @@ from repro.formalism.encoding import (
     mask_sort_key,
 )
 from repro.formalism.parsing import parse_constraint
-from repro.problems import maximal_matching_problem
+from repro.problems import maximal_matching_problem, pi_matching
 from repro.utils import UnknownLabelError
 
 
@@ -99,6 +99,17 @@ class TestConstraintTable:
             ),
         }
         assert set(self.table.partials) == expected
+
+    @pytest.mark.parametrize("delta", [3, 5, 8])
+    def test_partials_match_the_brute_force_closure(self, delta):
+        """The level-wise closure on arities up to 8, where labels repeat
+        up to Δ times in one configuration."""
+        problem = pi_matching(delta, 0, 1)
+        encoding = LabelEncoding.for_alphabet(problem.alphabet)
+        for constraint in (problem.white, problem.black):
+            table = ConstraintTable.compile(constraint, encoding)
+            decoded = {encoding.decode_config(items).labels for items in table.partials}
+            assert decoded == sub_multiset_closure(constraint)
 
     def test_extends_and_allows(self):
         encode = self.encoding.encode_config

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.formalism.problems import problem_from_lines
+from repro.formalism.configurations import Configuration
+from repro.formalism.constraints import Constraint
+from repro.formalism.problems import Problem, problem_from_lines
 from repro.formalism.relaxations import (
+    find_config_map_relaxation,
     find_label_relaxation,
     is_relaxation_via_config_map,
     is_relaxation_via_label_map,
@@ -107,3 +110,27 @@ class TestConfigMapRelaxation:
             ("B", "B"): ("D", "D"),
         }
         assert is_relaxation_via_config_map(strict, relaxed, config_map)
+
+
+class TestFindConfigMapRelaxation:
+    def test_black_configuration_without_labels_is_checked(self):
+        """The empty black configuration has one choice, the empty one;
+        outside the relaxed black constraint it refutes every map, though
+        no receiver pair ever touches it."""
+        strict = Problem(
+            frozenset("AB"),
+            Constraint([Configuration("A")]),
+            Constraint([Configuration([])]),
+        )
+        refuting = Problem(
+            frozenset("AB"),
+            Constraint([Configuration("B")]),
+            Constraint([Configuration("B")]),
+        )
+        assert find_config_map_relaxation(strict, refuting) is None
+        admitting = Problem(
+            frozenset("AB"),
+            Constraint([Configuration("B")]),
+            Constraint([Configuration([])]),
+        )
+        assert find_config_map_relaxation(strict, admitting) == {("A",): ("B",)}

@@ -2,13 +2,19 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+from repro.reliability import atomic
 from repro.reliability.atomic import (
     CHECKSUM_KEY,
     QUARANTINE_DIR,
+    RESULTS_VERSION,
     CorruptEntryError,
+    MemoTier,
+    TierStats,
     body_checksum,
     open_with_recovery,
     quarantine_entry,
@@ -48,6 +54,35 @@ class TestWriteReadRoundTrip:
         path = tmp_path / "legacy.json"
         path.write_text('{"old": true}')
         assert read_checked_json(path) == {"old": True}
+
+    @pytest.mark.parametrize(
+        "umask, mode", [("022", "-rw-r--r--"), ("077", "-rw-------")]
+    )
+    def test_the_umask_sets_the_mode(self, tmp_path, umask, mode):
+        """Both JSON writers create their files as a shell redirect does:
+        mode 0666 less the umask.  The umask is process-wide, so it is
+        set in a child process."""
+        import repro
+
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        script = (
+            "import os, stat, sys\n"
+            "from pathlib import Path\n"
+            "os.umask(int(sys.argv[1], 8))\n"
+            "from repro.reliability.atomic import write_checked_json\n"
+            "from repro.utils.serialization import write_json\n"
+            "root = Path(sys.argv[2])\n"
+            "for path in (write_json(root / 'plain.json', [1]),\n"
+            "             write_checked_json(root / 'checked.json', {'v': 1})):\n"
+            "    print(stat.filemode(path.stat().st_mode))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script, umask, str(tmp_path)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src_dir},
+        )
+        assert completed.stdout.split() == [mode, mode]
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestCorruptionDetection:
@@ -174,3 +209,55 @@ class TestSweepAndRecovery:
         open_with_recovery(tmp_path / "fresh", ("a", "b"))
         assert (tmp_path / "fresh" / "a").is_dir()
         assert (tmp_path / "fresh" / "b").is_dir()
+
+
+class TestResultsVersion:
+    """A memo tier reads only entries written under its results version."""
+
+    @staticmethod
+    def _tier(root):
+        return MemoTier(
+            4, root, ("ops",), TierStats(),
+            fault_clock=None, sites=("store.write", "store.write"),
+        )
+
+    def _written_tree(self, root):
+        tier = self._tier(root)
+        for key in ("a", "b"):
+            tier.write(f"ops/{key}.json", {"value": key})
+        tier.flush({"entries": tier.census()})
+        return tier
+
+    def test_entries_live_under_the_versioned_home(self, tmp_path):
+        tier = self._written_tree(tmp_path)
+        assert tier.root == tmp_path
+        assert tier.home == tmp_path / f"r{RESULTS_VERSION}"
+        assert sorted(p.name for p in (tier.home / "ops").iterdir()) == [
+            "a.json", "b.json",
+        ]
+        reopened = self._tier(tmp_path)
+        assert reopened.recovery["graceful"] is True
+        assert reopened.get("a", "ops/a.json", dict) == {"value": "a"}
+
+    def test_the_next_version_recomputes_every_entry(self, tmp_path, monkeypatch):
+        self._written_tree(tmp_path)
+        monkeypatch.setattr(atomic, "RESULTS_VERSION", RESULTS_VERSION + 1)
+        tier = self._tier(tmp_path)
+        assert tier.home == tmp_path / f"r{RESULTS_VERSION + 1}"
+        for key in ("a", "b"):
+            assert tier.get(key, f"ops/{key}.json", dict) is None
+        assert tier.stats.misses == 2
+        assert tier.stats.quarantined == 0
+        # The older tree is left as it was, never read or quarantined.
+        older = tmp_path / f"r{RESULTS_VERSION}" / "ops"
+        assert sorted(p.name for p in older.iterdir()) == ["a.json", "b.json"]
+
+    def test_the_unversioned_layout_is_not_read(self, tmp_path):
+        """Version 1 kept entries directly under the root."""
+        (tmp_path / "ops").mkdir()
+        write_checked_json(tmp_path / "ops" / "a.json", {"value": "a"})
+        write_checked_json(tmp_path / "manifest.json", {"entries": {"ops": 1}})
+        tier = self._tier(tmp_path)
+        assert tier.get("a", "ops/a.json", dict) is None
+        assert tier.stats.misses == 1
+        assert (tmp_path / "ops" / "a.json").exists()

@@ -6,7 +6,7 @@ from repro.formalism.configurations import Configuration
 from repro.formalism.labels import set_label_members
 from repro.formalism.parsing import parse_constraint
 from repro.formalism.problems import problem_from_lines
-from repro.problems import sinkless_orientation_problem
+from repro.problems import pi_matching, sinkless_orientation_problem
 from repro.roundelim.operators import (
     apply_R,
     apply_R_bar,
@@ -49,28 +49,37 @@ class TestMaximalSetConfigurations:
             )
 
     def test_budget_enforced(self):
-        problem = problem_from_lines(["A A"], ["A A", "A B", "B B"])
+        """Π_3(0,1)'s black side pops 27 configurations; budget 26 is
+        exceeded."""
+        problem = pi_matching(3, 0, 1)
         with pytest.raises(SolverLimitError):
-            maximal_set_configurations(problem.black, frozenset("AB"), budget=1)
+            maximal_set_configurations(problem.black, problem.alphabet, budget=26)
 
     def test_budget_counts_every_popped_configuration(self):
         """The budget bounds *pops*, and push-time dedup means the pop
-        count equals the number of distinct valid configurations — so a
-        tight budget raises on both engines at exactly the same value.
+        count equals the number of distinct closed configurations the
+        search reaches — so a tight budget raises on both engines at
+        exactly the same value.
 
-        The full AB constraint visits the 6 valid pair-configurations
-        over {A}, {B}, {A,B}: budget 5 must raise, budget 6 suffice.
+        Π_3(0,1)'s black side reaches 27 configurations whose slots are
+        all right-closed: budget 26 must raise, budget 27 suffice.
         """
-        problem = problem_from_lines(["A A"], ["A A", "A B", "B B"])
+        problem = pi_matching(3, 0, 1)
+        results = []
         for engine in ("reference", "kernel"):
             with pytest.raises(SolverLimitError):
                 maximal_set_configurations(
-                    problem.black, frozenset("AB"), budget=5, engine=engine
+                    problem.black, problem.alphabet, budget=26, engine=engine
                 )
-            result = maximal_set_configurations(
-                problem.black, frozenset("AB"), budget=6, engine=engine
+            results.append(
+                maximal_set_configurations(
+                    problem.black, problem.alphabet, budget=27, engine=engine
+                )
             )
-            assert result == frozenset({(frozenset("AB"), frozenset("AB"))})
+        assert results[0] == results[1]
+        assert results[0] == maximal_set_configurations(
+            problem.black, problem.alphabet
+        )
 
     def test_budget_threshold_is_hash_seed_independent(self):
         """The seed ordering is explicitly sorted, so the step at which
@@ -83,16 +92,16 @@ class TestMaximalSetConfigurations:
 
         src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         script = (
-            "from repro.formalism.problems import problem_from_lines\n"
+            "from repro.problems import pi_matching\n"
             "from repro.roundelim.operators import maximal_set_configurations\n"
             "from repro.utils import SolverLimitError\n"
-            "problem = problem_from_lines(['A A'], ['A A', 'A B', 'B B'])\n"
+            "problem = pi_matching(3, 0, 1)\n"
             "outcomes = []\n"
             "for engine in ('reference', 'kernel'):\n"
-            "    for budget in range(1, 8):\n"
+            "    for budget in range(20, 34):\n"
             "        try:\n"
             "            maximal_set_configurations(\n"
-            "                problem.black, frozenset('AB'),\n"
+            "                problem.black, problem.alphabet,\n"
             "                budget=budget, engine=engine)\n"
             "            outcomes.append('ok')\n"
             "        except SolverLimitError:\n"
@@ -114,7 +123,9 @@ class TestMaximalSetConfigurations:
             )
             transcripts.append(completed.stdout.strip())
         assert transcripts[0] == transcripts[1]
-        assert "limit" in transcripts[0] and "ok" in transcripts[0]
+        # Budgets 20..26 raise and 27..33 suffice, on both engines.
+        per_engine = ["limit"] * 7 + ["ok"] * 7
+        assert transcripts[0] == ",".join(per_engine * 2)
 
     def test_no_config_dominates_another(self):
         """Maximality: no output config is component-wise below another."""

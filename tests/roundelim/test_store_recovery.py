@@ -13,7 +13,8 @@ import pytest
 
 from repro.api import ProblemSpec
 from repro.problems.matching import pi_matching
-from repro.reliability.atomic import QUARANTINE_DIR
+from repro.reliability import atomic
+from repro.reliability.atomic import QUARANTINE_DIR, RESULTS_VERSION
 from repro.reliability.faults import FaultClock, FaultPlan
 from repro.roundelim.explore import (
     ExplorationLimits,
@@ -22,6 +23,11 @@ from repro.roundelim.explore import (
     explore,
 )
 from repro.utils.serialization import canonical_dumps
+
+
+def _home(root):
+    """The versioned directory a store rooted at ``root`` writes into."""
+    return root / f"r{RESULTS_VERSION}"
 
 
 @pytest.fixture
@@ -57,7 +63,7 @@ class TestOpEntryCorruption:
         self, tmp_path, problem, corruption
     ):
         digest, outcome = seeded_store(tmp_path, problem)
-        (op_entry,) = (tmp_path / "ops").glob("*.json")
+        (op_entry,) = (_home(tmp_path) / "ops").glob("*.json")
         CORRUPTIONS[corruption](op_entry)
         store = ProblemStore(root=tmp_path)
         store.intern(problem)
@@ -67,7 +73,7 @@ class TestOpEntryCorruption:
             "status": outcome["status"], "child": outcome["child"],
         }
         assert store.stats.computed == 1
-        assert list((tmp_path / QUARANTINE_DIR).iterdir())
+        assert list((_home(tmp_path) / QUARANTINE_DIR).iterdir())
 
 
 class TestNodeEntryCorruption:
@@ -80,14 +86,14 @@ class TestNodeEntryCorruption:
         recompute brings the payload back."""
         digest, outcome = seeded_store(tmp_path, problem)
         child = outcome["child"]
-        CORRUPTIONS[corruption](tmp_path / "nodes" / f"{child}.json")
+        CORRUPTIONS[corruption](_home(tmp_path) / "nodes" / f"{child}.json")
         store = ProblemStore(root=tmp_path)
         store.intern(problem)
         assert store.lookup(digest, "RE", 20_000) is None
         recomputed = store.apply(digest, "RE", 20_000)
         assert recomputed["child"] == child
         assert store.payload_of(child)  # the payload is back on disk
-        assert len(list((tmp_path / QUARANTINE_DIR).iterdir())) == 2
+        assert len(list((_home(tmp_path) / QUARANTINE_DIR).iterdir())) == 2
 
     def test_recovered_payload_bytes_match_the_original(self, tmp_path, problem):
         digest, outcome = seeded_store(tmp_path, problem)
@@ -95,7 +101,7 @@ class TestNodeEntryCorruption:
         original = canonical_dumps(
             ProblemStore(root=tmp_path).payload_of(child)
         )
-        CORRUPTIONS["truncated"](tmp_path / "nodes" / f"{child}.json")
+        CORRUPTIONS["truncated"](_home(tmp_path) / "nodes" / f"{child}.json")
         store = ProblemStore(root=tmp_path)
         store.intern(problem)
         store.apply(digest, "RE", 20_000)
@@ -111,7 +117,7 @@ class TestLinkEntryCorruption:
         roots = [pi_matching(3, 0, 1)]
         limits = ExplorationLimits(max_depth=1, max_nodes=2)
         first = explore(roots, limits=limits, store=ProblemStore(root=tmp_path))
-        (link_entry,) = (tmp_path / "links").glob("*.json")
+        (link_entry,) = (_home(tmp_path) / "links").glob("*.json")
         CORRUPTIONS[corruption](link_entry)
         store = ProblemStore(root=tmp_path)
         second = explore(roots, limits=limits, store=store)
@@ -120,12 +126,28 @@ class TestLinkEntryCorruption:
         assert store.stats.computed_links == 1
 
 
+class TestResultsVersion:
+    def test_a_store_under_the_next_version_recomputes_every_step(
+        self, tmp_path, problem, monkeypatch
+    ):
+        """An outcome recorded under another results version (say, a
+        budget that counted other pops) is never served."""
+        digest, outcome = seeded_store(tmp_path, problem)
+        monkeypatch.setattr(atomic, "RESULTS_VERSION", RESULTS_VERSION + 1)
+        store = ProblemStore(root=tmp_path)
+        store.intern(problem)
+        assert store.apply(digest, "RE", 20_000) == outcome
+        assert store.stats.computed == 1
+        assert store.stats.disk_hits == 0
+        assert store.stats.quarantined == 0
+
+
 class TestManifestLifecycle:
     def test_flush_marks_graceful_and_writes_census(self, tmp_path, problem):
         seeded_store(tmp_path, problem)
         store = ProblemStore(root=tmp_path)
         assert store.recovery["graceful"] is True
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = json.loads((_home(tmp_path) / "manifest.json").read_text())
         assert manifest["entries"]["nodes"] == 2
         assert manifest["entries"]["ops"] == 1
 
@@ -134,14 +156,14 @@ class TestManifestLifecycle:
         store = ProblemStore(root=tmp_path)
         store.intern(problem)
         store.apply(digest, "R", 20_000)  # a fresh step: first mutation
-        assert not (tmp_path / "manifest.json").exists()
+        assert not (_home(tmp_path) / "manifest.json").exists()
         store.flush()
-        assert (tmp_path / "manifest.json").exists()
+        assert (_home(tmp_path) / "manifest.json").exists()
 
     def test_missing_manifest_triggers_the_eager_sweep(self, tmp_path, problem):
         seeded_store(tmp_path, problem)
-        (tmp_path / "manifest.json").unlink()
-        (tmp_path / "ops" / "stray.json.1.tmp").write_text("half a write")
+        (_home(tmp_path) / "manifest.json").unlink()
+        (_home(tmp_path) / "ops" / "stray.json.1.tmp").write_text("half a write")
         store = ProblemStore(root=tmp_path)
         assert store.recovery["graceful"] is False
         assert store.recovery["tmp_removed"] == 1
@@ -172,7 +194,7 @@ class TestResumeParity:
             [problem], policy=policy, limits=limits,
             store=ProblemStore(root=tmp_path),
         )
-        damaged = sorted((tmp_path / "ops").glob("*.json"))[:1]
+        damaged = sorted((_home(tmp_path) / "ops").glob("*.json"))[:1]
         for entry in damaged:
             CORRUPTIONS["bad-checksum"](entry)
         resumed_store = ProblemStore(root=tmp_path)

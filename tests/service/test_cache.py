@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.reliability.atomic import RESULTS_VERSION
 from repro.service.cache import CACHE_SCHEMA, MANIFEST_SCHEMA, ReportCache
 from repro.utils import InvalidParameterError
 
@@ -57,7 +58,7 @@ class TestDiskTier:
     def test_write_through_and_reload(self, tmp_path):
         cache = ReportCache(capacity=4, root=tmp_path)
         cache.record("deadbeef", "solve", record_for(7))
-        on_disk = json.loads((tmp_path / "reports" / "deadbeef.json").read_text())
+        on_disk = json.loads((tmp_path / f"r{RESULTS_VERSION}" / "reports" / "deadbeef.json").read_text())
         assert on_disk["schema"] == CACHE_SCHEMA
         assert on_disk["digest"] == "deadbeef"
         assert on_disk["record"] == {"value": 7}
@@ -97,7 +98,7 @@ class TestDiskTier:
         cache = ReportCache(capacity=1, root=tmp_path)
         for i in range(5):
             cache.record(f"d{i}", "solve", record_for(i))
-        assert len(list((tmp_path / "reports").glob("*.json"))) == 5
+        assert len(list((tmp_path / f"r{RESULTS_VERSION}" / "reports").glob("*.json"))) == 5
 
 
 class TestStats:

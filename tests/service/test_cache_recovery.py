@@ -15,7 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.reliability.atomic import QUARANTINE_DIR, read_checked_json
+from repro.reliability.atomic import (
+    QUARANTINE_DIR,
+    RESULTS_VERSION,
+    read_checked_json,
+)
 from repro.reliability.faults import FaultClock, FaultPlan
 from repro.service.cache import ReportCache
 from repro.service.protocol import (
@@ -30,8 +34,13 @@ REQUEST = solve_request(
 )
 
 
+def _home(root: Path) -> Path:
+    """The versioned directory a cache rooted at ``root`` writes into."""
+    return root / f"r{RESULTS_VERSION}"
+
+
 def _entry_path(root: Path, digest: str) -> Path:
-    return root / "reports" / f"{digest}.json"
+    return _home(root) / "reports" / f"{digest}.json"
 
 
 CORRUPTIONS = {
@@ -63,7 +72,7 @@ class TestReportCacheRecovery:
         cache = ReportCache(capacity=8, root=tmp_path)
         assert cache.lookup(digest) is None  # a miss, never an exception
         assert cache.stats.quarantined >= 1
-        assert list((tmp_path / QUARANTINE_DIR).iterdir())
+        assert list((_home(tmp_path) / QUARANTINE_DIR).iterdir())
 
     def test_recomputed_entry_restores_the_bytes(self, tmp_path):
         digest = self._seed(tmp_path)
@@ -82,8 +91,8 @@ class TestReportCacheRecovery:
 
     def test_ungraceful_open_sweeps_eagerly(self, tmp_path):
         self._seed(tmp_path)
-        (tmp_path / "manifest.json").unlink()
-        (tmp_path / "reports" / "junk.json").write_text("{torn")
+        (_home(tmp_path) / "manifest.json").unlink()
+        (_home(tmp_path) / "reports" / "junk.json").write_text("{torn")
         cache = ReportCache(capacity=8, root=tmp_path)
         assert cache.recovery["graceful"] is False
         assert cache.recovery["checked"] == 2
@@ -94,11 +103,11 @@ class TestReportCacheRecovery:
         look gracefully shut down."""
         self._seed(tmp_path)
         cache = ReportCache(capacity=8, root=tmp_path)
-        assert (tmp_path / "manifest.json").exists()
+        assert (_home(tmp_path) / "manifest.json").exists()
         cache.record("d2", "solve", {"answer": 43})
-        assert not (tmp_path / "manifest.json").exists()
+        assert not (_home(tmp_path) / "manifest.json").exists()
         cache.flush()
-        assert (tmp_path / "manifest.json").exists()
+        assert (_home(tmp_path) / "manifest.json").exists()
 
     def test_write_failure_degrades_durability_not_availability(self, tmp_path):
         clock = FaultClock(FaultPlan.from_faults([("cache.write", 1, "error")]))
@@ -155,7 +164,7 @@ class TestSignalShutdown:
             response = client.request(REQUEST)
             assert response["status"] == "ok"
             # The cache is dirty now: the manifest is down until shutdown.
-            assert not (cache_dir / "manifest.json").exists()
+            assert not (_home(cache_dir) / "manifest.json").exists()
 
             daemon.send_signal(signal.SIGTERM)
             assert daemon.wait(timeout=30) == 0
@@ -163,5 +172,5 @@ class TestSignalShutdown:
             if daemon.poll() is None:
                 daemon.kill()
                 daemon.wait(timeout=10)
-        manifest = read_checked_json(cache_dir / "manifest.json")
+        manifest = read_checked_json(_home(cache_dir) / "manifest.json")
         assert manifest["reports"] == 1

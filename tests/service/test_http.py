@@ -9,6 +9,7 @@ import urllib.request
 import pytest
 
 from repro import api
+from repro.reliability.atomic import RESULTS_VERSION
 from repro.service import (
     REQUEST_SCHEMA,
     ServiceClient,
@@ -183,7 +184,7 @@ class TestShutdown:
         assert response["status"] == "ok"
         thread.join(timeout=10)
         assert not thread.is_alive()
-        assert (tmp_path / "manifest.json").exists()
+        assert (tmp_path / f"r{RESULTS_VERSION}" / "manifest.json").exists()
 
     def test_shutdown_can_be_disabled(self):
         service = SolveService(jobs=1)

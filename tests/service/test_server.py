@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro import api
+from repro.reliability.atomic import RESULTS_VERSION
 from repro.service import (
     SolveService,
     roundelim_request,
@@ -123,7 +124,7 @@ class TestRestartPersistence:
     def test_graceful_close_flushes_manifest(self, tmp_path):
         with SolveService(cache_dir=tmp_path, jobs=1) as service:
             service.submit(matching_request())
-        assert (tmp_path / "manifest.json").exists()
+        assert (tmp_path / f"r{RESULTS_VERSION}" / "manifest.json").exists()
 
 
 class TestErrorMapping:

@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from repro import api
+from repro.reliability.atomic import RESULTS_VERSION
 from repro.service import SolveService, start_http_service
 from repro.service.cli import main
 
@@ -142,4 +143,4 @@ class TestServeCommand:
         thread.join(timeout=10)
         assert not thread.is_alive()
         assert codes == [0]
-        assert (tmp_path / "cache" / "manifest.json").exists()
+        assert (tmp_path / "cache" / f"r{RESULTS_VERSION}" / "manifest.json").exists()
