@@ -14,13 +14,16 @@ reproducing the [BKK+23] separation inside our general framework.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.api.registry import Algorithm, register_algorithm
 from repro.api.types import MessagePassingProgram, ProblemSpec
 from repro.local.network import Network
 from repro.local.simulator import NodeAlgorithm
 from repro.utils import GraphConstructionError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def global_sinkless_orientation(graph: nx.Graph) -> dict[frozenset, object]:
@@ -29,6 +32,8 @@ def global_sinkless_orientation(graph: nx.Graph) -> dict[frozenset, object]:
     Returns {edge: head}.  Raises when some component is a tree (no
     sinkless orientation exists there).
     """
+    import networkx as nx
+
     orientation: dict[frozenset, object] = {}
     for component in nx.connected_components(graph):
         subgraph = graph.subgraph(component)

@@ -21,8 +21,7 @@ or checking.
 from __future__ import annotations
 
 from collections.abc import Callable
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.api.engines import DEFAULT_ENGINE, Engine, resolve_engine
 from repro.api.errors import AlgorithmMismatchError, SpecError
@@ -43,6 +42,9 @@ from repro.checkers import (
 from repro.local.measurement import EngineProbe, Measurement, timed
 from repro.local.network import Network
 from repro.local.simulator import RoundTrace, RunResult
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def _graph(network: Network | nx.Graph) -> nx.Graph:

@@ -10,12 +10,15 @@ diagnosable.  Definitions follow the paper: x-maximal y-matching (§1.1),
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.local.dense import NodeSet, PairSet, sorted_distinct
 from repro.local.network import Network, VectorNetwork
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -213,6 +216,8 @@ def hop_distances(graph: nx.Graph, sources) -> dict:
     Edge attributes are ignored, so a ``weight`` never stretches a hop.
     Raises :class:`networkx.NodeNotFound` for a source outside the graph.
     """
+    import networkx as nx
+
     distances = {}
     for source in sources:
         if source not in graph:

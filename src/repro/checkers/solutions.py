@@ -12,11 +12,14 @@ Three solution shapes appear in the paper and are all validated here:
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.checkers.graph_problems import CheckResult
 from repro.formalism.configurations import Configuration, Label
 from repro.formalism.problems import Problem
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def _ok() -> CheckResult:

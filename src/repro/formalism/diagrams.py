@@ -16,12 +16,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from itertools import combinations
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.formalism.configurations import Label
 from repro.formalism.constraints import Constraint
 from repro.formalism.problems import Problem
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def is_at_least_as_strong(
@@ -62,6 +64,8 @@ def diagram(alphabet: Iterable[Label], constraint: Constraint) -> nx.DiGraph:
     The graph carries the *full* (transitively closed) relation; use
     :func:`diagram_reduction` for the Hasse-style rendering of Figures 1-2.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     graph.add_nodes_from(sorted(set(alphabet)))
     graph.add_edges_from(strength_relation(alphabet, constraint))
@@ -80,6 +84,8 @@ def diagram_reduction(graph: nx.DiGraph) -> nx.DiGraph:
     reduction of a DAG is only defined after condensing those.  Each
     condensed node is represented by its sorted member tuple.
     """
+    import networkx as nx
+
     condensation = nx.condensation(graph)
     reduced = nx.transitive_reduction(condensation)
     rendered = nx.DiGraph()
@@ -96,6 +102,8 @@ def diagram_reduction(graph: nx.DiGraph) -> nx.DiGraph:
 
 def successors_closure(graph: nx.DiGraph, labels: Iterable[Label]) -> frozenset[Label]:
     """All labels reachable from ``labels`` (including themselves)."""
+    import networkx as nx
+
     closure: set[Label] = set()
     for label in labels:
         if label not in graph:

@@ -8,11 +8,13 @@ listings are grouped back into condensed form where possible.
 from __future__ import annotations
 
 from collections import Counter
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.formalism.diagrams import diagram_reduction
 from repro.formalism.problems import Problem
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def render_diagram(graph: nx.DiGraph, title: str = "diagram") -> str:

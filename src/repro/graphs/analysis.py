@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.graphs.chromatic import (
     chromatic_lower_bound_from_independence,
@@ -18,6 +17,9 @@ from repro.graphs.chromatic import (
 )
 from repro.graphs.girth import exact_girth
 from repro.graphs.independence import exact_independence_number
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,8 @@ def analyze_support_graph(
     exact_limits: tuple[int, int] = (64, 48),
 ) -> SupportGraphReport:
     """Compute the certified report (exact values only below the limits)."""
+    import networkx as nx
+
     independence_limit, chromatic_limit = exact_limits
     n = graph.number_of_nodes()
     degrees = {graph.degree(node) for node in graph.nodes}

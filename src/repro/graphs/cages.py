@@ -9,28 +9,31 @@ the tests rather than trusted.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.utils import GraphConstructionError
 
-# (name, degree, girth) → constructor.
+if TYPE_CHECKING:
+    import networkx as nx
+
+# name → (degree, girth, networkx generator, its arguments).
 _LCF_GRAPHS = {
     # (3, 5)-cage: Petersen graph, 10 nodes.
-    "petersen": (3, 5, lambda: nx.petersen_graph()),
+    "petersen": (3, 5, "petersen_graph", ()),
     # (3, 6)-cage: Heawood graph, 14 nodes.
-    "heawood": (3, 6, lambda: nx.LCF_graph(14, [5, -5], 7)),
+    "heawood": (3, 6, "LCF_graph", (14, [5, -5], 7)),
     # (3, 7)-cage: McGee graph, 24 nodes.
-    "mcgee": (3, 7, lambda: nx.LCF_graph(24, [12, 7, -7], 8)),
+    "mcgee": (3, 7, "LCF_graph", (24, [12, 7, -7], 8)),
     # (3, 8)-cage: Tutte–Coxeter graph, 30 nodes.
-    "tutte_coxeter": (3, 8, lambda: nx.LCF_graph(30, [-13, -9, 7, -7, 9, 13], 5)),
+    "tutte_coxeter": (3, 8, "LCF_graph", (30, [-13, -9, 7, -7, 9, 13], 5)),
     # Girth-6 bipartite 3-regular alternative: Pappus graph, 18 nodes.
-    "pappus": (3, 6, lambda: nx.LCF_graph(18, [5, 7, -7, 7, -7, -5], 3)),
+    "pappus": (3, 6, "LCF_graph", (18, [5, 7, -7, 7, -7, -5], 3)),
     # Desargues graph: 3-regular, girth 6, bipartite, 20 nodes.
-    "desargues": (3, 6, lambda: nx.LCF_graph(20, [5, -5, 9, -9], 5)),
+    "desargues": (3, 6, "LCF_graph", (20, [5, -5, 9, -9], 5)),
     # Dodecahedral graph: 3-regular, girth 5, 20 nodes.
-    "dodecahedron": (3, 5, lambda: nx.dodecahedral_graph()),
+    "dodecahedron": (3, 5, "dodecahedral_graph", ()),
     # Möbius–Kantor graph: 3-regular, girth 6, bipartite, 16 nodes.
-    "moebius_kantor": (3, 6, lambda: nx.LCF_graph(16, [5, -5], 8)),
+    "moebius_kantor": (3, 6, "LCF_graph", (16, [5, -5], 8)),
 }
 
 
@@ -41,17 +44,21 @@ def available_cages() -> list[str]:
 
 def cage(name: str) -> tuple[nx.Graph, int, int]:
     """Return (graph, degree, girth) for a named construction."""
+    import networkx as nx
+
     try:
-        degree, girth, constructor = _LCF_GRAPHS[name]
+        degree, girth, generator, arguments = _LCF_GRAPHS[name]
     except KeyError:
         raise GraphConstructionError(
             f"unknown cage {name!r}; available: {available_cages()}"
         ) from None
-    return constructor(), degree, girth
+    return getattr(nx, generator)(*arguments), degree, girth
 
 
 def cycle(n: int) -> nx.Graph:
     """C_n: the 2-regular graph of girth n — the simplest high-girth family."""
+    import networkx as nx
+
     if n < 3:
         raise GraphConstructionError(f"a cycle needs ≥ 3 nodes, got {n}")
     return nx.cycle_graph(n)

@@ -10,10 +10,13 @@ bound, plus the standard n/α(G) lower bound from independence.
 from __future__ import annotations
 
 import math
-
-import networkx as nx
+import sys
+from typing import TYPE_CHECKING
 
 from repro.graphs.independence import exact_independence_number
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def exact_chromatic_number(graph: nx.Graph, node_limit: int = 48) -> int:
@@ -82,7 +85,10 @@ def greedy_coloring(graph):
     (returns a :class:`~repro.local.dense.NodeValues` with the same
     colors).
     """
-    if not isinstance(graph, nx.Graph):
+    # A networkx graph exists only once networkx is loaded, so a solve
+    # that never loaded it takes the CSR path without importing it.
+    networkx = sys.modules.get("networkx")
+    if networkx is None or not isinstance(graph, networkx.Graph):
         return _greedy_coloring_csr(graph)
     assignment: dict = {}
     for node in sorted(graph.nodes, key=lambda v: -graph.degree(v)):

@@ -10,9 +10,12 @@ least that of G (odd cycles unroll to twice their length).
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.utils import InvalidParameterError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 WHITE = 0
 BLACK = 1
@@ -27,6 +30,8 @@ def bipartite_double_cover(graph: nx.Graph) -> nx.Graph:
     only.  The ``color`` node attribute carries "white" / "black" so the
     result plugs directly into the bipartite solvers and the simulator.
     """
+    import networkx as nx
+
     cover = nx.Graph()
     for node in graph.nodes:
         cover.add_node((node, WHITE), color=COLORS[WHITE])
@@ -43,6 +48,8 @@ def mark_bipartition(graph: nx.Graph) -> nx.Graph:
     Uses the canonical 2-coloring of each connected component; raises
     :class:`InvalidParameterError` if the graph is not bipartite.
     """
+    import networkx as nx
+
     try:
         coloring = nx.algorithms.bipartite.color(graph)
     except nx.NetworkXError:

@@ -16,12 +16,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.graphs.girth import exact_girth
 from repro.graphs.independence import exact_independence_number
 from repro.utils import GraphConstructionError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -44,10 +46,6 @@ class CertifiedGraph:
             return None
         return self.independence_number / self.n
 
-    def lemma21_independence_target(self) -> float:
-        """The α·n·logΔ/Δ bound of Lemma 2.1 with α = 1 (normalized)."""
-        return self.n * math.log(self.degree) / self.degree
-
 
 def random_regular_with_girth(
     n: int,
@@ -64,6 +62,8 @@ def random_regular_with_girth(
     callers must lower the target or raise n, never silently accept an
     uncertified graph.
     """
+    import networkx as nx
+
     if n * degree % 2 != 0:
         raise GraphConstructionError(
             f"n·Δ must be even for a Δ-regular graph (n={n}, Δ={degree})"
@@ -114,6 +114,8 @@ def biregular_tree(white_degree: int, black_degree: int, depth: int) -> nx.Graph
     Theorem 3.4 pads support graphs with such trees to hit an exact node
     count; interior nodes have full degree, leaves fewer.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     root = 0
     graph.add_node(root, color="white")
@@ -143,6 +145,8 @@ def padded_support_graph(core: nx.Graph, total_nodes: int) -> nx.Graph:
     The filler is a path (degrees ≤ 2 ≤ Δ, r), disjoint from the core; the
     lower bound only needs the core component's properties.
     """
+    import networkx as nx
+
     n_core = core.number_of_nodes()
     if total_nodes < n_core:
         raise GraphConstructionError(

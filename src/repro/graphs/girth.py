@@ -12,8 +12,10 @@ of the incidence graph.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def exact_girth(graph: nx.Graph) -> float:

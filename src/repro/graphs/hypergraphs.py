@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.utils import GraphConstructionError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,8 @@ class Hypergraph:
         Hyperedge i becomes the black node ("edge", i); original nodes keep
         their identity and become white.
         """
+        import networkx as nx
+
         graph = nx.Graph()
         for node in self.nodes:
             graph.add_node(node, color="white")

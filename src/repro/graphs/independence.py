@@ -9,7 +9,10 @@ scale suffice.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def exact_independence_number(graph: nx.Graph, node_limit: int = 64) -> int:

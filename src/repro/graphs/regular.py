@@ -22,7 +22,6 @@ import random
 from collections import defaultdict
 from itertools import chain
 
-import networkx as nx
 import numpy as np
 
 
@@ -105,9 +104,13 @@ def random_regular_edges(d: int, n: int, seed: int) -> np.ndarray:
     for ``d`` outside ``0 ≤ d < n``.
     """
     if (n * d) % 2 != 0:
-        raise nx.NetworkXError("n * d must be even")
+        from networkx import NetworkXError
+
+        raise NetworkXError("n * d must be even")
     if not 0 <= d < n:
-        raise nx.NetworkXError("the 0 <= d < n inequality must be satisfied")
+        from networkx import NetworkXError
+
+        raise NetworkXError("the 0 <= d < n inequality must be satisfied")
     if d == 0:
         return np.empty((0, 2), dtype=np.int64)
     rng = random.Random(seed)

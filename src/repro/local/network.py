@@ -18,13 +18,16 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.graphs.double_cover import COLORS
 from repro.local.dense import NodeValues
 from repro.utils import SimulationError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Labels at or above this have more digits than ``str_rank`` scales.
 _LABEL_LIMIT = 10**18
@@ -133,6 +136,8 @@ class Network:
     _ports = _port_of = _labels = None
 
     def __init__(self, graph: nx.Graph, ids: dict | None = None) -> None:
+        import networkx as nx
+
         nodes = tuple(graph.nodes)
         loop = next(nx.selfloop_edges(graph), None)
         if loop is not None:
@@ -206,6 +211,8 @@ class Network:
     def graph(self) -> nx.Graph:
         """The networkx graph (built from the arrays on first use)."""
         if self._graph is None:
+            import networkx as nx
+
             graph = nx.Graph()
             if self._colors is None:
                 graph.add_nodes_from(self.nodes)

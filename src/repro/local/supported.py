@@ -11,13 +11,15 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.local.network import Network
 from repro.local.simulator import RunResult
 from repro.local.views import SupportedView, collect_supported_view
 from repro.utils import SimulationError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,8 @@ class SupportedInstance:
         cls, support: nx.Graph, input_graph: nx.Graph | Iterable
     ) -> "SupportedInstance":
         """Build from a support graph and an input subgraph (or edge list)."""
+        import networkx as nx
+
         edges = (
             input_graph.edges if isinstance(input_graph, nx.Graph) else input_graph
         )
@@ -54,6 +58,8 @@ class SupportedInstance:
 
     def input_graph(self) -> nx.Graph:
         """The input graph G′ as a standalone networkx graph."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self.support.nodes)
         graph.add_edges_from(tuple(edge) for edge in self.input_edges)

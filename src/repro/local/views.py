@@ -14,11 +14,13 @@ algorithm implementations cannot accidentally cheat.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.local.network import Network
 from repro.utils import LocalityViolationError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,8 @@ def collect_view(network: Network, node, radius: int) -> LocalView:
     between two depth-``radius`` nodes are visible (their endpoints know
     them at time ``radius``).
     """
+    import networkx as nx
+
     lengths = nx.single_source_shortest_path_length(
         network.graph, node, cutoff=radius
     )
@@ -111,6 +115,8 @@ def collect_supported_view(
     network: Network, input_edges: frozenset, node, radius: int
 ) -> SupportedView:
     """Build the Supported LOCAL radius-``radius`` view of ``node``."""
+    import networkx as nx
+
     lengths = nx.single_source_shortest_path_length(
         network.graph, node, cutoff=radius
     )

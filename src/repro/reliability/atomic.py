@@ -27,10 +27,10 @@ through this module, and both stores are thin owners of one
   entries directly under ``root/``): it is never read again and can be
   deleted by hand.
 
-An entry without a ``checksum`` field passes :func:`read_checked_json`
-as long as it parses — the footer is verified only when present; the
-owner's decoder still rejects a parsed entry that lacks a field it
-needs.
+Every entry in a tier was written by :func:`write_checked_json`, so
+:func:`read_checked_json` refuses an entry without a ``checksum`` field
+as it refuses one whose footer does not match; an entry that passes its
+checksum can still fail its owner's decoder, and is quarantined too.
 """
 
 from __future__ import annotations
@@ -117,13 +117,12 @@ def write_checked_json(
 
 
 def read_checked_json(path: str | Path) -> dict:
-    """Load one entry, verifying its checksum footer when present.
+    """Load one entry, verifying its checksum footer.
 
     Returns the entry *without* the ``checksum`` key.  Raises
     :class:`CorruptEntryError` for every way an entry can be bad:
-    unreadable, empty, truncated, not JSON, not an object, or failing
-    its checksum.  Entries without a footer (written before the
-    checksum layer) are accepted if they parse.
+    unreadable, empty, truncated, not JSON, not an object, without a
+    footer, or failing its checksum.
     """
     target = Path(path)
     try:
@@ -143,7 +142,9 @@ def read_checked_json(path: str | Path) -> dict:
             f"entry {target.name} is {type(loaded).__name__}, expected an object"
         )
     stored = loaded.pop(CHECKSUM_KEY, None)
-    if stored is not None and stored != body_checksum(loaded):
+    if stored is None:
+        raise CorruptEntryError(f"entry {target.name} has no checksum footer")
+    if stored != body_checksum(loaded):
         raise CorruptEntryError(f"entry {target.name} fails its checksum")
     return loaded
 

@@ -21,11 +21,14 @@ walking chains that already prove something:
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.formalism.configurations import Configuration
 from repro.formalism.problems import Problem
 from repro.utils import SolverError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Edge-count cap for the exhaustive zero-round check: the subgraph
 #: enumeration alone is 2^edges, and the algorithm space is exponential
@@ -63,6 +66,8 @@ def uniform_zero_round(problem: Problem) -> bool:
 
 def _smallest_biregular_support(white_arity: int, black_arity: int) -> nx.Graph:
     """K_{d_B, d_W} with colors: white degree d_W, black degree d_B."""
+    import networkx as nx
+
     graph = nx.Graph()
     whites = [f"w{index}" for index in range(black_arity)]
     blacks = [f"b{index}" for index in range(white_arity)]

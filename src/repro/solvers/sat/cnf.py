@@ -70,9 +70,6 @@ class CnfFormula:
     def key_of(self, var_id: int) -> object:
         return self._var_keys[var_id - 1]
 
-    def has_var(self, key: object) -> bool:
-        return key in self._var_ids
-
     def add_clause(self, literals: Iterable[Literal]) -> bool:
         """Add a clause; returns True if it changed the formula.
 

@@ -58,10 +58,6 @@ class LabelingEncoding:
     symmetry_broken: bool
     _var: dict[tuple[int, int], int] = field(default_factory=dict)
 
-    @property
-    def num_label_vars(self) -> int:
-        return len(self.edges) * len(self.alphabet)
-
     def var(self, edge_index: int, label_index: int) -> int:
         return self._var[(edge_index, label_index)]
 

@@ -1,9 +1,5 @@
 """The array replay of ``nx.random_regular_graph`` against networkx itself."""
 
-import os
-import subprocess
-import sys
-
 import networkx as nx
 import pytest
 
@@ -63,24 +59,6 @@ class TestReplay:
         with pytest.raises(nx.NetworkXError) as replayed:
             random_regular_edges(d, n, seed=0)
         assert str(replayed.value) == str(expected.value)
-
-
-def test_graphs_package_imports_without_numpy():
-    # Exploration imports repro.graphs; numpy would add ~12 MB of RSS and
-    # ~0.15 s of set-up to a path that never uses it.
-    code = "import sys, repro.graphs; assert 'numpy' not in sys.modules"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
-
-
-@pytest.mark.parametrize("module", ["repro.utils.serialization", "repro.roundelim.explore"])
-def test_exploration_path_imports_without_numpy(module):
-    # Serialization encodes array-backed solutions through encoders that
-    # repro.local.dense registers; their numpy code must stay out of the
-    # exploration path (numpy raised explore-d3's peak RSS by a third).
-    code = f"import sys, {module}; assert 'numpy' not in sys.modules"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 @pytest.mark.fuzz

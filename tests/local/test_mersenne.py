@@ -5,10 +5,7 @@ The oracle is ``random.Random`` itself: replayed states equal
 stream equals ``randrange(2**63)``, bit for bit.
 """
 
-import os
 import random
-import subprocess
-import sys
 import warnings
 
 import networkx as nx
@@ -133,20 +130,6 @@ class TestRandomStreams:
         ]
         assert reports[0].canonical_json() == reports[1].canonical_json()
         assert reports[2].canonical_json() == reports[3].canonical_json()
-
-
-def test_luby_solve_leaves_numpy_random_unloaded():
-    # Importing numpy.random adds ~7.5 ms to every process's set-up; the
-    # replay brings its own twist.
-    code = (
-        "import sys, repro.api as api\n"
-        "report = api.solve('mis:delta=4', algorithm='mis:luby', engine='vectorized',"
-        " n=200, seed=1)\n"
-        "assert report.valid\n"
-        "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
-    )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 @pytest.mark.fuzz

@@ -50,10 +50,13 @@ class TestWriteReadRoundTrip:
         assert read_checked_json(path) == {"v": 2}
         assert not list(tmp_path.glob("*.tmp"))
 
-    def test_legacy_entry_without_footer_accepted(self, tmp_path):
+    def test_legacy_entry_without_footer_refused(self, tmp_path):
+        # Every tier lives under root/r<N>/, where write_checked_json
+        # wrote each entry with a footer: one without it is corrupt.
         path = tmp_path / "legacy.json"
         path.write_text('{"old": true}')
-        assert read_checked_json(path) == {"old": True}
+        with pytest.raises(CorruptEntryError, match="no checksum footer"):
+            read_checked_json(path)
 
     @pytest.mark.parametrize(
         "umask, mode", [("022", "-rw-r--r--"), ("077", "-rw-------")]

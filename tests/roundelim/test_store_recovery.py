@@ -14,7 +14,11 @@ import pytest
 from repro.api import ProblemSpec
 from repro.problems.matching import pi_matching
 from repro.reliability import atomic
-from repro.reliability.atomic import QUARANTINE_DIR, RESULTS_VERSION
+from repro.reliability.atomic import (
+    QUARANTINE_DIR,
+    RESULTS_VERSION,
+    write_checked_json,
+)
 from repro.reliability.faults import FaultClock, FaultPlan
 from repro.roundelim.explore import (
     ExplorationLimits,
@@ -42,9 +46,12 @@ CORRUPTIONS = {
     "bad-checksum": lambda p: p.write_text(
         json.dumps({**json.loads(p.read_text()), "status": "tampered"})
     ),
-    # Parses and carries no footer, so it passes the checksum layer as an
-    # entry written before it; only the owner's decoding can reject it.
+    # Parses, but carries no checksum footer, so the checksum layer
+    # refuses it like the others.
     "shapeless": lambda p: p.write_text("{}"),
+    # Passes its checksum but lacks every field: only the owner's
+    # decoding can reject it.
+    "undecodable": lambda p: write_checked_json(p, {}),
 }
 
 
@@ -122,7 +129,7 @@ class TestLinkEntryCorruption:
         store = ProblemStore(root=tmp_path)
         second = explore(roots, limits=limits, store=store)
         assert second.canonical_json() == first.canonical_json()
-        assert store.stats.quarantined >= 1
+        assert store.stats.quarantined == 1
         assert store.stats.computed_links == 1
 
 

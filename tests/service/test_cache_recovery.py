@@ -19,6 +19,7 @@ from repro.reliability.atomic import (
     QUARANTINE_DIR,
     RESULTS_VERSION,
     read_checked_json,
+    write_checked_json,
 )
 from repro.reliability.faults import FaultClock, FaultPlan
 from repro.service.cache import ReportCache
@@ -50,9 +51,12 @@ CORRUPTIONS = {
     "bad-checksum": lambda p: p.write_text(
         json.dumps({**json.loads(p.read_text()), "record": {"tampered": 1}})
     ),
-    # Parses and carries no footer, so it passes the checksum layer as an
-    # entry written before it; only the owner's decoding can reject it.
+    # Parses, but carries no checksum footer, so the checksum layer
+    # refuses it like the others.
     "shapeless": lambda p: p.write_text("{}"),
+    # Passes its checksum but lacks every field: only the owner's
+    # decoding can reject it.
+    "undecodable": lambda p: write_checked_json(p, {}),
 }
 
 
@@ -71,7 +75,7 @@ class TestReportCacheRecovery:
         CORRUPTIONS[corruption](_entry_path(tmp_path, digest))
         cache = ReportCache(capacity=8, root=tmp_path)
         assert cache.lookup(digest) is None  # a miss, never an exception
-        assert cache.stats.quarantined >= 1
+        assert cache.stats.quarantined == 1
         assert list((_home(tmp_path) / QUARANTINE_DIR).iterdir())
 
     def test_recomputed_entry_restores_the_bytes(self, tmp_path):
