@@ -1,10 +1,11 @@
 """Declarative experiment harness: scenarios, suites, runner, CLI.
 
-Replaces the copy-pasted boilerplate of ``benchmarks/bench_*.py`` with a
-single registry of named scenario suites (``repro.experiments.registry``),
-measurement pipelines (``repro.experiments.pipelines``) and a serial /
-multiprocessing runner with canonical JSON output.  Entry point:
-``python -m repro.experiments``.
+The paper's claims live here: a single registry of named scenario suites
+(``repro.experiments.registry``), measurement pipelines whose records
+carry each claim's verdict (``repro.experiments.pipelines``) and a
+serial / multiprocessing runner with canonical JSON output, which exits
+non-zero when a claim fails.  ``tests/golden/`` holds every suite's
+output.  Entry point: ``python -m repro.experiments``.
 """
 
 from repro.experiments.pipelines import (

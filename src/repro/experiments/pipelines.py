@@ -2,11 +2,12 @@
 
 Each pipeline takes a resolved :class:`~repro.experiments.scenarios.Scenario`
 plus that scenario's private RNG and returns a list of *records* — plain
-dicts of deterministic, JSON-ready observations.  Everything the old
-``benchmarks/bench_*.py`` scripts hand-rolled (graph generation, input
-subgraph construction, round measurement, checker invocation, paper-bound
-arithmetic) lives here once, so benchmarks, examples, the CLI and CI all
-exercise the same code paths.
+dicts of deterministic, JSON-ready observations.  Graph generation, input
+subgraph construction, round measurement, checker invocation and
+paper-bound arithmetic live here once.  A record's ``valid`` states
+whether the paper claim it measures holds, so a failing claim makes the
+runner exit non-zero; README's claims table maps each statement of the
+paper to its scenario and the record field that carries the verdict.
 
 Determinism contract: a record may depend only on the scenario definition
 and the supplied RNG — never on wall-clock, process identity or execution
@@ -31,6 +32,7 @@ import networkx as nx
 from repro.api import solve
 from repro.analysis import (
     classify_types,
+    contradiction_region,
     extract_coloring,
     extract_family_solution,
     palette_size,
@@ -39,9 +41,13 @@ from repro.analysis import (
 from repro.core import (
     admissible_subgraphs,
     algorithm_from_lift_solution,
+    check_lift_solution,
     derive_zero_round_black_algorithm,
+    exists_zero_round_algorithm,
     is_correct_one_round,
+    is_correct_zero_round,
     lift,
+    lift_solution_from_algorithm,
 )
 from repro.core.bounds import (
     aapr23_mis_parameters,
@@ -52,10 +58,24 @@ from repro.core.bounds import (
     theorem_51_bound,
     theorem_61_bound,
 )
+from repro.core.derandomization import (
+    count_supported_instances_exact,
+    derandomize_by_union_bound,
+    hypergraph_instance_count_bound,
+    supported_instance_count_bound,
+    supported_instance_count_exact_exponent,
+    union_bound_guarantee,
+)
 from repro.core.speedup import check_against_R_problem
 from repro.experiments.scenarios import Scenario
-from repro.formalism.diagrams import black_diagram, right_closure
+from repro.formalism.diagrams import (
+    black_diagram,
+    diagram_edges,
+    right_closed_subsets,
+    right_closure,
+)
 from repro.formalism.labels import set_label_members
+from repro.formalism.problems import problem_from_lines
 from repro.formalism.relaxations import (
     find_config_map_relaxation,
     find_label_relaxation,
@@ -75,8 +95,10 @@ from repro.problems import (
     maximal_matching_problem,
     pi_arbdefective,
     pi_matching,
+    pi_matching_endpoint,
     pi_ruling,
     ruling_set_to_family_labels,
+    sinkless_orientation_problem,
 )
 from repro.roundelim import (
     LowerBoundSequence,
@@ -85,7 +107,7 @@ from repro.roundelim import (
     is_fixed_point,
     round_elimination,
 )
-from repro.solvers import lift_solvable_non_bipartite, solve_bipartite
+from repro.solvers import lift_solvable_bipartite, lift_solvable_non_bipartite, solve_bipartite
 from repro.utils import InvalidParameterError
 
 #: Pipeline registry: key → callable(scenario, rng) -> list[dict].
@@ -190,11 +212,12 @@ def matching_to_labels(graph: nx.Graph, matching: set) -> dict:
 
 @pipeline("matching_proposal_sweep")
 def matching_proposal_sweep(scenario: Scenario, rng: random.Random) -> list[dict]:
-    """Proposal-algorithm rounds vs the Theorem 4.1 bound, swept over Δ′."""
+    """Proposal-algorithm rounds, never falling as Δ′ grows, vs the Theorem 4.1 bound."""
     cover = _require_family(scenario, rng)
     delta = max(dict(cover.degree).values())
     checker = scenario.resolve_checker()
     records = []
+    previous_rounds = 0
     for delta_prime in scenario.sizes:
         input_edges = input_subgraph_of_degree(cover, delta_prime)
         report = solve(
@@ -222,9 +245,10 @@ def matching_proposal_sweep(scenario: Scenario, rng: random.Random) -> list[dict
                 "matching_size": len(matching),
                 "sequence_length_k": matching_sequence_length(delta_prime, 0, 1),
                 "paper_bound_deterministic": round(bound.deterministic, 1),
-                "valid": valid,
+                "valid": valid and rounds >= previous_rounds,
             }
         )
+        previous_rounds = rounds
     return records
 
 
@@ -260,7 +284,7 @@ def matching_labels_example(scenario: Scenario, rng: random.Random) -> list[dict
             "labels": {"M": counts["M"], "O": counts["O"], "P": counts["P"]},
             "matching_valid": matching_valid,
             "labeling_valid": labeling_valid,
-            "valid": matching_valid and labeling_valid,
+            "valid": matching_valid and labeling_valid and counts["M"] == len(matching),
         }
     ]
 
@@ -269,7 +293,8 @@ def matching_labels_example(scenario: Scenario, rng: random.Random) -> list[dict
 def matching_sequence_steps(scenario: Scenario, rng: random.Random) -> list[dict]:
     """Lemma 4.5 steps: RE(Π_Δ(x,y)) relaxes to Π_Δ(x+y,y), certified.
 
-    ``re_engine`` selects the round elimination backend
+    No label map may witness a step: the steps need the general
+    config-map notion (README, "Findings").  ``re_engine`` selects the round elimination backend
     (``kernel``/``reference``); records are engine-independent by the
     operator contract, so scenarios differing only in ``re_engine``
     cross-check the two implementations end to end.
@@ -296,7 +321,7 @@ def matching_sequence_steps(scenario: Scenario, rng: random.Random) -> list[dict
                 "label_map_witness": label_map is not None,
                 "config_map_witness": verified,
                 "re_alphabet_size": len(source.alphabet),
-                "valid": verified,
+                "valid": verified and label_map is None,
             }
         )
     return records
@@ -332,6 +357,53 @@ def matching_full_sequence(scenario: Scenario, rng: random.Random) -> list[dict]
     return records
 
 
+#: Figure 1 as drawn (a transitive reduction), and the right-closed sets §4.2 lists.
+_FIGURE1_EDGES = (("Z", "M"), ("Z", "P"), ("P", "O"), ("O", "X"), ("M", "X"))
+_FIGURE1_SETS = frozenset({"X", "OX", "MX", "MOX", "OPX", "MOPX", "MOPXZ"})
+
+
+@pipeline("matching_black_diagram")
+def matching_black_diagram(scenario: Scenario, rng: random.Random) -> list[dict]:
+    """Figure 1: Π_Δ′(0, y)'s black diagram is the drawing's transitive
+    closure; the endpoint x′ = Δ′ − 1 − y refines the drawing (README,
+    "Findings") and keeps its right-closed sets among those §4.2 lists."""
+    delta, y = scenario.option("delta", 5), scenario.option("y", 1)
+    drawn = frozenset(nx.transitive_closure(nx.DiGraph(_FIGURE1_EDGES)).edges)
+    generic = diagram_edges(black_diagram(pi_matching(delta, 0, y)))
+    endpoint = black_diagram(pi_matching_endpoint(delta, y))
+    sets = ["".join(sorted(labels)) for labels in right_closed_subsets(endpoint)]
+    return [
+        {
+            "generic_is_drawn_closure": generic == drawn,
+            "endpoint_refinement": sorted(map(list, diagram_edges(endpoint) - generic)),
+            "endpoint_right_closed_sets": sets,
+            "valid": generic == drawn and set(sets) <= _FIGURE1_SETS,
+        }
+    ]
+
+
+@pipeline("matching_contradiction_region")
+def matching_contradiction_region(scenario: Scenario, rng: random.Random) -> list[dict]:
+    """§4.2: per Δ′, the ratios Δ/Δ′ at which Lemma 4.8's lower bound
+    exceeds Lemma 4.9's upper bound, which must include every ratio from
+    the paper's c on; then the contrast: on the support, where Δ = Δ′,
+    the endpoint's lift is solvable, so the bound needs Δ ≫ Δ′."""
+    y, c = scenario.option("y", 1), scenario.option("c", 5)
+    ratios = scenario.option("ratios", (2, 3, 5, 8))
+    records = []
+    for delta_prime in scenario.sizes:
+        found = [r for r in ratios if contradiction_region(r * delta_prime, delta_prime, y=y)]
+        valid = all(r in found for r in ratios if r >= c)
+        records.append({"delta_prime": delta_prime, "contradicting_ratios": found, "valid": valid})
+    support = _require_family(scenario, rng)
+    delta = max(dict(support.degree).values())
+    solvable, _solution, _lifted = lift_solvable_bipartite(
+        support, pi_matching_endpoint(delta, y), delta=delta, rank=2
+    )
+    records.append({"delta": delta, "endpoint_lift_solvable": solvable, "valid": solvable})
+    return records
+
+
 # --------------------------------------------------------------------------
 # Ruling sets (Theorem 6.1)
 # --------------------------------------------------------------------------
@@ -339,8 +411,9 @@ def matching_full_sequence(scenario: Scenario, rng: random.Random) -> list[dict]
 
 @pipeline("ruling_bound_series")
 def ruling_bound_series(scenario: Scenario, rng: random.Random) -> list[dict]:
-    """Theorem 6.1's β-tradeoff series vs Lemma 6.4 sequence lengths."""
+    """Theorem 6.1's β-tradeoff, never rising in β, vs Lemma 6.4 sequence lengths."""
     records = []
+    previous = float("inf")
     for beta in scenario.sizes:
         bound = theorem_61_bound(
             delta=10**5, delta_prime=256, alpha=0, colors=1, beta=beta, n=10**300
@@ -348,14 +421,38 @@ def ruling_bound_series(scenario: Scenario, rng: random.Random) -> list[dict]:
         t = lemma_64_sequence_length(
             delta=10**5, alpha=0, colors=1, k=256, beta=beta, epsilon=1.0
         )
+        deterministic = round(bound.deterministic, 1)
         records.append(
             {
                 "beta": beta,
-                "bound_deterministic": round(bound.deterministic, 1),
+                "bound_deterministic": deterministic,
                 "sequence_length_t": t,
+                "valid": deterministic <= previous,
             }
         )
+        previous = deterministic
     return records
+
+
+@pipeline("ruling_black_diagram")
+def ruling_black_diagram(scenario: Scenario, rng: random.Random) -> list[dict]:
+    """Figure 2: Π_Δ(c, β)'s black diagram is exactly three parts, each
+    recorded as present: the closed pointer chain P1 → … → Pβ → Uβ → … →
+    U1, each color set above its proper subsets, and X above every label."""
+    beta = scenario.option("beta", 2)
+    problem = pi_ruling(scenario.option("delta", 3), scenario.option("colors", 3), beta)
+    edges = diagram_edges(black_diagram(problem))
+    chain = [f"P{i}" for i in range(1, beta + 1)] + [f"U{i}" for i in range(beta, 0, -1)]
+    sets = {a: frozenset(a.strip("{}").split(",")) for a in problem.alphabet if a[0] == "{"}
+    parts = {
+        "pointer_chain": {(a, b) for i, a in enumerate(chain) for b in chain[i + 1:]},
+        "containment_lattice": {(a, b) for a in sets for b in sets if sets[b] < sets[a]},
+        "x_top": {(label, "X") for label in problem.alphabet - {"X"}},
+    }
+    record = {name: part <= edges for name, part in parts.items()}
+    record["strength_edges"] = len(edges)
+    record["valid"] = edges == set().union(*parts.values())
+    return [record]
 
 
 @pipeline("ruling_peeling")
@@ -572,23 +669,27 @@ def mis_luby(scenario: Scenario, rng: random.Random) -> list[dict]:
 
 @pipeline("mis_parameters")
 def mis_parameters(scenario: Scenario, rng: random.Random) -> list[dict]:
-    """§1.1 instantiation: the Theorem 1.7 bound matching χ_G."""
+    """§1.1 instantiation: the Theorem 1.7 bound matching χ_G, never falling in n."""
     records = []
+    previous = float("-inf")
     for exponent in scenario.sizes:
         delta, delta_prime, bound = aapr23_mis_parameters(2**exponent)
+        bound = round(bound, 2)
         records.append(
             {
                 "log2_n": exponent,
                 "delta": delta,
                 "delta_prime": delta_prime,
-                "bound": round(bound, 2),
+                "bound": bound,
+                "valid": bound >= previous,
             }
         )
+        previous = bound
     return records
 
 
 # --------------------------------------------------------------------------
-# Round elimination (Appendix B)
+# Round elimination (Appendix B), Theorem 3.2's lift, Appendix C
 # --------------------------------------------------------------------------
 
 
@@ -650,6 +751,88 @@ def speedup_b2(scenario: Scenario, rng: random.Random) -> list[dict]:
             "r_problem_satisfied": passed,
             "r_alphabet": sorted(str(label) for label in r_problem.alphabet),
             "valid": bool(one_round_ok) and checked == passed == 2**edge_limit,
+        }
+    ]
+
+
+@pipeline("lift_equivalence")
+def lift_equivalence(scenario: Scenario, rng: random.Random) -> list[dict]:
+    """Theorem 3.2: Π is 0-round solvable on a support iff its lift is,
+    decided by search against a brute force of the whole algorithm space;
+    where the lift is solvable, both directions of the proof round-trip."""
+    gallery = (
+        ("MM_2 on C4", 4, maximal_matching_problem(2)),
+        ("MM_2 on C6", 6, maximal_matching_problem(2)),
+        ("SO_2 on C4", 4, sinkless_orientation_problem(2)),
+        ("forced-MM on C4", 4, problem_from_lines(["M M"], ["M O"], name="forced-MM")),
+    )
+    edge_limit = scenario.option("edge_limit", 10)
+    records = []
+    for name, length, problem in gallery:
+        graph = mark_bipartition(cycle(length))
+        lifted = lift(problem, 2, 2)
+        solution = solve_bipartite(graph, lifted.to_problem())
+        brute = exists_zero_round_algorithm(graph, problem, edge_limit=edge_limit)
+        round_trip = None
+        if solution is not None:
+            decoded = {edge: set_label_members(label) for edge, label in solution.items()}
+            algorithm = algorithm_from_lift_solution(graph, lifted, decoded)
+            round_trip = is_correct_zero_round(algorithm, problem) and check_lift_solution(
+                graph, lifted, lift_solution_from_algorithm(algorithm, lifted)
+            )
+        records.append(
+            {
+                "instance": name,
+                "lift_solvable": solution is not None,
+                "zero_round_algorithm": brute,
+                "round_trip": round_trip,
+                "valid": (solution is not None) == brute and round_trip is not False,
+            }
+        )
+    return records
+
+
+@pipeline("instance_counts")
+def instance_counts(scenario: Scenario, rng: random.Random) -> list[dict]:
+    """Lemma C.2 / Theorem C.3: exact instance counts within 2^{3n²}, whose
+    exponent the paper composes from graphs, IDs and inputs
+    (``exponent_terms``), and the hypergraph bound 2^{4n³} above it."""
+    records = []
+    for n in scenario.sizes:
+        bound = supported_instance_count_bound(n)
+        exact = count_supported_instances_exact(n)
+        dominated = hypergraph_instance_count_bound(n) >= bound
+        records.append(
+            {
+                "n": n,
+                "exact_instances": exact,
+                "exponent_terms": round(supported_instance_count_exact_exponent(n), 1),
+                "paper_exponent": 3 * n * n,
+                "hypergraph_bound_dominates": dominated,
+                "valid": exact <= bound and dominated,
+            }
+        )
+    return records
+
+
+@pipeline("union_bound_derandomization")
+def union_bound_derandomization(scenario: Scenario, rng: random.Random) -> list[dict]:
+    """Lemma C.1's proof step, executed: a failure probability below
+    1/#instances guarantees a seed that succeeds everywhere; find it."""
+    instances = list(range(scenario.option("instances", 12)))
+    failure = scenario.option("failure", 1 / 16)
+
+    def succeeds(instance: int, seed: int) -> bool:
+        return random.Random(f"{instance}:{seed}").random() > failure
+
+    result = derandomize_by_union_bound(instances, range(scenario.option("seeds", 256)), succeeds)
+    guaranteed = union_bound_guarantee(len(instances), failure)
+    return [
+        {
+            "guaranteed": guaranteed,
+            "seed": result.seed,
+            "seeds_examined": len(result.failure_counts),
+            "valid": guaranteed and result.succeeded,
         }
     ]
 

@@ -1,10 +1,12 @@
 """Named scenario suites covering the paper's experiment families.
 
 Suites group scenarios by paper section: ``matching`` (Theorem 4.1,
-Lemma 4.5, Figure 3), ``ruling_sets`` (Theorem 6.1), ``arbdefective``
-(Theorem 5.1), ``mis`` ([AAPR23], §1.1) and ``round_elimination``
-(Appendix B).  The ``smoke`` suite is the CI gate: a fast cross-section
-of every family sized to finish well under a minute.
+Lemma 4.5, §4.2, Figures 1 and 3), ``ruling_sets`` (Theorem 6.1,
+Figure 2), ``arbdefective`` (Theorem 5.1), ``mis`` ([AAPR23], §1.1) and
+``round_elimination`` (Appendix B, Theorem 3.2, Appendix C); README's
+claims table names the record field that carries each claim's verdict.
+The ``smoke`` suite is the CI gate: a fast cross-section of every family
+sized to finish well under a minute.
 """
 
 from __future__ import annotations
@@ -20,6 +22,12 @@ SUITES: dict[str, tuple[Scenario, ...]] = {
             family="double_cover:tutte_coxeter",
             sizes=(1, 2, 3),
             checker="maximal_matching",
+        ),
+        Scenario.create(
+            "fig1-black-diagram",
+            pipeline="matching_black_diagram",
+            delta=5,
+            y=1,
         ),
         Scenario.create(
             "fig3-formalism-labels",
@@ -61,8 +69,24 @@ SUITES: dict[str, tuple[Scenario, ...]] = {
             x=0,
             y=1,
         ),
+        Scenario.create(
+            "thm41-contradiction-region",
+            pipeline="matching_contradiction_region",
+            family="marked_cycle:8",
+            sizes=(2, 4, 8, 16),
+            ratios=(2, 3, 5, 8),
+            c=5,
+            y=1,
+        ),
     ),
     "ruling_sets": (
+        Scenario.create(
+            "fig2-black-diagram",
+            pipeline="ruling_black_diagram",
+            delta=3,
+            colors=3,
+            beta=2,
+        ),
         Scenario.create(
             "thm61-bound-series",
             pipeline="ruling_bound_series",
@@ -173,6 +197,23 @@ SUITES: dict[str, tuple[Scenario, ...]] = {
             family="marked_cycle:8",
             edge_limit=8,
             re_engine="reference",
+        ),
+        Scenario.create(
+            "thm32-lift-equivalence",
+            pipeline="lift_equivalence",
+            edge_limit=10,
+        ),
+        Scenario.create(
+            "thmc2-instance-counts",
+            pipeline="instance_counts",
+            sizes=(1, 2, 3, 4, 5),
+        ),
+        Scenario.create(
+            "thmc2-union-bound",
+            pipeline="union_bound_derandomization",
+            instances=12,
+            seeds=256,
+            failure=1 / 16,
         ),
     ),
     # Differential fuzzing (repro.verification) as first-class scenarios:

@@ -144,5 +144,5 @@ def right_closure(graph: nx.DiGraph, labels: Iterable[Label]) -> frozenset[Label
 
 
 def diagram_edges(graph: nx.DiGraph) -> frozenset[tuple[Label, Label]]:
-    """The edge set of a diagram as a frozenset (testing convenience)."""
+    """The edge set of a diagram as a frozenset."""
     return frozenset(graph.edges)

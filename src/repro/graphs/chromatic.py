@@ -31,7 +31,6 @@ def exact_chromatic_number(graph: nx.Graph, node_limit: int = 48) -> int:
     if graph.number_of_edges() == 0:
         return 1
 
-    nodes = sorted(graph.nodes, key=lambda v: -graph.degree(v), reverse=False)
     nodes = sorted(graph.nodes, key=lambda v: -graph.degree(v))
     adjacency = {node: set(graph.neighbors(node)) for node in graph.nodes}
 

@@ -1,8 +1,8 @@
 """Plain-text table rendering for experiment output.
 
-Every benchmark regenerates a paper artifact and prints a table comparing
-the paper's claim with the measured/verified value.  This module renders
-those tables uniformly so `EXPERIMENTS.md` and the bench output agree.
+The CLIs, the examples and the per-layer benches print their tables
+through this module.  The paper's claims and the reproduction's findings
+are in README's experiments section (its claims table and "Findings").
 """
 
 from __future__ import annotations

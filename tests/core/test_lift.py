@@ -35,7 +35,7 @@ class TestLiftConstruction:
         """§4.2 lists the right-closed sets of Π_Δ'(x',y); the mechanical
         strength relation at the endpoint refines the drawn Figure 1
         (O and X become equivalent), giving the 5-set sub-family — a
-        documented reproduction finding (EXPERIMENTS.md)."""
+        reproduction finding (README, "Findings")."""
         problem = pi_matching_endpoint(4, 1)
         lifted = lift(problem, 4, 4)
         sets = {frozenset(s) for s in lifted.label_sets}

@@ -64,7 +64,7 @@ class TestMatchingFamily:
         """Reproduction finding: at the endpoint x' = Δ'−1−y the relation
         gains M→O and X→O (O ≡ X), shrinking the right-closed family from
         the 7 sets listed in §4.2 to 5 — which only strengthens the
-        Lemmas 4.8/4.9 counting (documented in EXPERIMENTS.md)."""
+        Lemmas 4.8/4.9 counting (README, "Findings")."""
         problem = pi_matching_endpoint(4, 1)
         edges = diagram_edges(black_diagram(problem))
         assert ("X", "O") in edges and ("M", "O") in edges

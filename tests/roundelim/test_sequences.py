@@ -2,7 +2,7 @@
 
 Corollary 4.6 / Lemma 4.5 ([BO20]): Π_Δ(x,y), Π_Δ(x+y,y), … is a lower
 bound sequence.  The steps need the *general* configuration-map relaxation
-notion — a reproduction finding documented in EXPERIMENTS.md: no label map
+notion — a reproduction finding (README, "Findings"): no label map
 witnesses the Lemma 4.5 steps, while ordered-configuration maps do.
 """
 

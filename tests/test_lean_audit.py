@@ -42,7 +42,6 @@ KEPT = {
     "check_half_edge_labeling": "a solution of Π on a plain graph, checked (§2)",
     "count_labeled_graphs": "Appendix C's instance count, exact for tiny n",
     "deterministic_bound_to_randomized": "Lemma C.2's bound transform",
-    "union_bound_guarantee": "the union-bound core of Lemma C.1's proof",
     "sequence_from_family": "a round-elimination sequence from a parametric family",
     "is_fixed_point_up_to_relaxation": "Corollary 5.5's fixed-point requirement",
     "solve_s_solution": "Definition 5.6's S-solutions",
