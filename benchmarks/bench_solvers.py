@@ -37,12 +37,12 @@ from __future__ import annotations
 import time
 
 import harness
+import networkx as nx
 from repro.core.lift import lift
 from repro.core.zero_round import zero_round_solvable
 from repro.formalism.problems import problem_from_lines
 from repro.graphs import cycle, mark_bipartition
 from repro.problems import maximal_matching_problem
-from repro.roundelim.explore.classify import _smallest_biregular_support
 from repro.solvers import SolverBudget, make_solver
 from repro.solvers.csp import CSP_BUDGET_UNIT
 from repro.solvers.sat import SatLabelingSolver
@@ -87,6 +87,21 @@ GATE = harness.SpeedupGate(
     slow_seconds=lambda record: record["csp_seconds"],
     label=lambda record: f"{record['workload']} Δ={record['n']}: speedup",
 )
+
+
+def _smallest_biregular_support(white_arity: int, black_arity: int) -> nx.Graph:
+    """K_{d_B, d_W} with colors: white degree d_W, black degree d_B."""
+    graph = nx.Graph()
+    whites = [f"w{index}" for index in range(black_arity)]
+    blacks = [f"b{index}" for index in range(white_arity)]
+    for node in whites:
+        graph.add_node(node, color="white")
+    for node in blacks:
+        graph.add_node(node, color="black")
+    for white in whites:
+        for black in blacks:
+            graph.add_edge(white, black)
+    return graph
 
 
 def _gate_instance(delta: int, factory=maximal_matching_problem):

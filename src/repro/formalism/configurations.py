@@ -65,17 +65,9 @@ class Configuration:
         """Return the configuration with one ``old`` replaced by ``new``."""
         return Configuration(replace_one(self.labels, old, new))
 
-    def replace_all(self, old: Label, new: Label) -> "Configuration":
-        """Return the configuration with every ``old`` replaced by ``new``."""
-        return Configuration(new if lab == old else lab for lab in self.labels)
-
     def map_labels(self, mapping: dict[Label, Label]) -> "Configuration":
         """Apply a label renaming; labels absent from the map are kept."""
         return Configuration(mapping.get(lab, lab) for lab in self.labels)
-
-    def is_submultiset_of(self, other: "Configuration") -> bool:
-        """Return True if self ⊆ other as multisets."""
-        return is_submultiset(self.counter, other.counter)
 
     def extends(self, partial: Counter[Label]) -> bool:
         """Return True if ``partial`` is a sub-multiset of this configuration."""

@@ -64,11 +64,6 @@ class Constraint:
         """The common arity of all configurations (0 if empty)."""
         return self._size
 
-    @property
-    def is_empty(self) -> bool:
-        """True when no configuration is allowed."""
-        return not self._configs
-
     @cached_property
     def labels(self) -> frozenset[Label]:
         """All labels used by at least one configuration."""
@@ -137,12 +132,6 @@ class Constraint:
                 if count > partial.get(label, 0):
                     result.add(label)
         return frozenset(result)
-
-    def restrict_labels(self, keep: frozenset[Label]) -> "Constraint":
-        """Drop every configuration that uses a label outside ``keep``."""
-        return Constraint(
-            config for config in self._configs if config.support <= keep
-        )
 
     def map_labels(self, mapping: dict[Label, Label]) -> "Constraint":
         """Apply a label renaming to every configuration."""

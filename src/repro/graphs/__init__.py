@@ -25,11 +25,7 @@ from repro.graphs.generators import (
     padded_support_graph,
     random_regular_with_girth,
 )
-from repro.graphs.girth import (
-    exact_girth,
-    hypergraph_girth,
-    theorem_b2_budget,
-)
+from repro.graphs.girth import exact_girth, hypergraph_girth
 from repro.graphs.hypergraphs import Hypergraph, linear_uniform_hypergraph
 from repro.graphs.independence import (
     exact_independence_number,
@@ -61,5 +57,4 @@ __all__ = [
     "max_clique_lower_bound",
     "padded_support_graph",
     "random_regular_with_girth",
-    "theorem_b2_budget",
 ]

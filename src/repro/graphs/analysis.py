@@ -7,7 +7,6 @@ consume: regularity, girth, independence / chromatic bounds, bipartition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -34,12 +33,6 @@ class SupportGraphReport:
     chromatic_number: int | None
     chromatic_lower_bound: int | None
     is_bipartite: bool
-
-    def theorem_b2_round_budget(self) -> float:
-        """(g−4)/2 — the girth term of Theorem B.2."""
-        if math.isinf(self.girth):
-            return math.inf
-        return (self.girth - 4) / 2
 
 
 def analyze_support_graph(

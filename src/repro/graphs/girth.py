@@ -56,10 +56,3 @@ def hypergraph_girth(incidence_graph: nx.Graph) -> float:
     if math.isinf(incidence_girth):
         return math.inf
     return incidence_girth / 2
-
-
-def theorem_b2_budget(girth: float) -> float:
-    """The (g−4)/2 term of Theorem B.2's min{2k, (g−4)/2} bound."""
-    if math.isinf(girth):
-        return math.inf
-    return (girth - 4) / 2

@@ -69,9 +69,6 @@ class Hypergraph:
     def is_regular(self, degree: int) -> bool:
         return all(self.degree(node) == degree for node in self.nodes)
 
-    def is_uniform(self, rank: int) -> bool:
-        return all(len(edge) == rank for edge in self.edges)
-
     def is_linear(self) -> bool:
         """Linear: every pair of hyperedges shares at most one node."""
         for index, first in enumerate(self.edges):

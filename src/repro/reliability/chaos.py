@@ -236,7 +236,7 @@ def explore_baseline() -> dict:
     )
 
     roots = [ProblemSpec.parse("sinkless-orientation:delta=3").build()]
-    policy = ExplorationPolicy(moves=("RE",), zero_round="uniform")
+    policy = ExplorationPolicy(moves=("RE",))
     limits = ExplorationLimits(max_depth=2, max_nodes=6)
     report = explore(roots, policy=policy, limits=limits)
     return {

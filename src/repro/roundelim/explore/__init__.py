@@ -17,10 +17,7 @@ lower bound sequences.
   :class:`ExplorationReport` payload.
 """
 
-from repro.roundelim.explore.classify import (
-    exhaustive_zero_round,
-    uniform_zero_round,
-)
+from repro.roundelim.explore.classify import uniform_zero_round
 from repro.roundelim.explore.frontier import (
     DEFAULT_STEP_BUDGET,
     MOVES,
@@ -64,7 +61,6 @@ __all__ = [
     "WITNESS_NONE",
     "compute_relaxation",
     "compute_step",
-    "exhaustive_zero_round",
     "explore",
     "reports_identical",
     "uniform_zero_round",

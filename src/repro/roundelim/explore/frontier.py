@@ -36,11 +36,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from repro.formalism.problems import Problem
-from repro.roundelim.explore.classify import (
-    ZERO_ROUND_MODES,
-    exhaustive_zero_round,
-    uniform_zero_round,
-)
+from repro.roundelim.explore.classify import uniform_zero_round
 from repro.roundelim.explore.report import ExplorationReport
 from repro.roundelim.explore.store import (
     OPERATORS,
@@ -68,6 +64,21 @@ ORDERS = ("bfs", "min-alphabet")
 #: many recorded paths.
 MAX_ENUMERATED_PATHS = 512
 
+#: Best-first slice size, fixed so the expansion order does not depend
+#: on ``jobs``.
+BATCH_SIZE = 4
+
+#: Largest alphabet the quadratic merge move quotients.
+MERGE_ALPHABET_CAP = 5
+
+#: Largest alphabet the relaxation-linking pass, the relaxation
+#: fixed-point test and sequence verification search over.
+LINK_ALPHABET_CAP = 12
+
+#: Longest-path candidates re-verified per search (constant sequences of
+#: relaxation fixed points come on top).
+MAX_SEQUENCES = 3
+
 
 @dataclass(frozen=True)
 class ExplorationLimits:
@@ -89,20 +100,19 @@ class ExplorationPolicy:
     """Pluggable expansion behaviour.
 
     ``order`` picks the frontier discipline; ``moves`` the edge kinds;
-    ``batch_size`` the best-first slice (fixed so the expansion order is
-    independent of ``jobs``); the two caps gate the quadratic merge move
-    and the relaxation-linking pass to small alphabets.
+    ``step_budget`` bounds every operator application; ``engine`` picks
+    the RE operators; ``verify_sequences`` re-verifies the extracted
+    sequences.  The batch size, the two alphabet caps and the sequence
+    count are the module constants above, and zero-round classification
+    is always the uniform test; :meth:`describe` writes them all into
+    the report's policy block, so a report states every knob it ran
+    under.
     """
 
     order: str = "bfs"
     moves: tuple[str, ...] = ("RE",)
-    batch_size: int = 4
     step_budget: int = DEFAULT_STEP_BUDGET
     engine: str = DEFAULT_ENGINE
-    merge_alphabet_cap: int = 5
-    link_alphabet_cap: int = 12
-    zero_round: str = "uniform"
-    max_sequences: int = 3
     verify_sequences: bool = True
 
     def __post_init__(self) -> None:
@@ -115,24 +125,17 @@ class ExplorationPolicy:
             raise InvalidParameterError(
                 f"unknown moves {unknown}; known: {list(MOVES)}"
             )
-        if self.zero_round not in ZERO_ROUND_MODES:
-            raise InvalidParameterError(
-                f"unknown zero-round mode {self.zero_round!r}; "
-                f"known: {list(ZERO_ROUND_MODES)}"
-            )
-        if self.batch_size < 1:
-            raise InvalidParameterError("batch_size must be >= 1")
 
     def describe(self) -> dict:
         return {
             "order": self.order,
             "moves": list(self.moves),
-            "batch_size": self.batch_size,
+            "batch_size": BATCH_SIZE,
             "step_budget": self.step_budget,
-            "merge_alphabet_cap": self.merge_alphabet_cap,
-            "link_alphabet_cap": self.link_alphabet_cap,
-            "zero_round": self.zero_round,
-            "max_sequences": self.max_sequences,
+            "merge_alphabet_cap": MERGE_ALPHABET_CAP,
+            "link_alphabet_cap": LINK_ALPHABET_CAP,
+            "zero_round": "uniform",
+            "max_sequences": MAX_SEQUENCES,
             "verify_sequences": self.verify_sequences,
         }
 
@@ -201,7 +204,7 @@ def _select_batch(search: _Search) -> list[str]:
                 search.nodes[digest]["alphabet_size"],
                 digest,
             ),
-        )[: search.policy.batch_size]
+        )[:BATCH_SIZE]
     return batch[:quota]
 
 
@@ -290,9 +293,7 @@ def _expand(search: _Search, digest: str) -> None:
             search.budget_exhausted_ops += 1
             continue
         search.ensure_node(entry["child"], depth + 1)
-    if "merge" in search.policy.moves and (
-        node["alphabet_size"] <= search.policy.merge_alphabet_cap
-    ):
+    if "merge" in search.policy.moves and node["alphabet_size"] <= MERGE_ALPHABET_CAP:
         problem = search.problem(digest)
         for move, quotient in _merge_children(problem):
             child = search.store.intern(quotient)
@@ -309,19 +310,7 @@ def _classify(search: _Search) -> None:
     """Zero-round and fixed-point classification of every visited node."""
     for digest in sorted(search.nodes):
         node = search.nodes[digest]
-        problem = search.problem(digest)
-        node["zero_round"] = uniform_zero_round(problem)
-        if (
-            search.policy.zero_round in ("exhaustive", "exhaustive-sat")
-            and not node["zero_round"]
-        ):
-            method = (
-                "sat" if search.policy.zero_round == "exhaustive-sat"
-                else "bruteforce"
-            )
-            exact = exhaustive_zero_round(problem, method=method)
-            if exact is not None:
-                node["zero_round"] = exact
+        node["zero_round"] = uniform_zero_round(search.problem(digest))
         # apply(), not lookup(): a tiny LRU may have evicted the RE memo
         # entry by now, and classification must not degrade with store
         # capacity (the report depends only on roots/policy/limits).
@@ -344,8 +333,8 @@ def _classify(search: _Search) -> None:
         elif (
             # The label-map search branches over the *eliminated*
             # problem's labels, so both alphabets gate it.
-            node["alphabet_size"] <= search.policy.link_alphabet_cap
-            and eliminated_size <= search.policy.link_alphabet_cap
+            node["alphabet_size"] <= LINK_ALPHABET_CAP
+            and eliminated_size <= LINK_ALPHABET_CAP
         ):
             witness = search.store.relaxation(re_entry["child"], digest)["witness"]
             node["relaxation_fixed_point"] = witness != WITNESS_NONE
@@ -396,7 +385,6 @@ def _link_steps(search: _Search) -> list[dict]:
             recorded.add((source, target))
             steps.append({"source": source, "target": target, "witness": witness})
 
-    cap = search.policy.link_alphabet_cap
     merge_adjacency = _merge_adjacency(search)
     for edge in search.edges:
         if edge["move"] != "RE" or edge["status"] != STATUS_OK:
@@ -405,14 +393,14 @@ def _link_steps(search: _Search) -> list[dict]:
         add(source, child, "identity")
         for quotient in _merge_reachable(merge_adjacency, child):
             add(source, quotient, "merge")
-        if search.nodes[child]["alphabet_size"] > cap:
+        if search.nodes[child]["alphabet_size"] > LINK_ALPHABET_CAP:
             continue
         child_payload = search.store.payload_of(child)
         for target in sorted(search.nodes):
             if target == child or (source, target) in recorded:
                 continue
             other = search.nodes[target]
-            if other["alphabet_size"] > cap:
+            if other["alphabet_size"] > LINK_ALPHABET_CAP:
                 continue
             target_payload = search.store.payload_of(target)
             if (
@@ -463,7 +451,7 @@ def _extract_sequences(search: _Search, steps: list[dict]) -> list[dict]:
     candidates: list[tuple[str, list[str]]] = []
     for path in _longest_paths(steps, search.nodes):
         candidates.append(("path", path))
-        if len(candidates) >= search.policy.max_sequences:
+        if len(candidates) >= MAX_SEQUENCES:
             break
     for digest in sorted(search.nodes):
         if search.nodes[digest].get("relaxation_fixed_point"):
@@ -483,8 +471,7 @@ def _extract_sequences(search: _Search, steps: list[dict]) -> list[dict]:
         # problems' labels; past the linking cap it can dwarf the whole
         # search, so oversized chains are reported unverified-by-policy.
         oversized = any(
-            len(problem.alphabet) > search.policy.link_alphabet_cap
-            for problem in problems
+            len(problem.alphabet) > LINK_ALPHABET_CAP for problem in problems
         )
         if search.policy.verify_sequences and not oversized:
             try:

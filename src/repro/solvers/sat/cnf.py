@@ -67,9 +67,6 @@ class CnfFormula:
             self._var_keys.append(key)
         return var_id
 
-    def key_of(self, var_id: int) -> object:
-        return self._var_keys[var_id - 1]
-
     def add_clause(self, literals: Iterable[Literal]) -> bool:
         """Add a clause; returns True if it changed the formula.
 

@@ -47,6 +47,11 @@ CASES = [
         id="thm41-rounds-never-fall",
     ),
     pytest.param(
+        "matching", "thm41-proposal-sweep", "theorem_41_bound",
+        lambda _real: lambda **kwargs: SimpleNamespace(deterministic=-kwargs["delta_prime"]),
+        id="thm41-bound-never-falls",
+    ),
+    pytest.param(
         "matching", "fig3-formalism-labels", "matching_to_labels",
         _labels_of_a_maximum_matching,
         id="fig3-m-count-is-matching-size",

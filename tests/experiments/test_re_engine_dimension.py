@@ -3,9 +3,9 @@
 Suites carry ``*-reference-engine`` twin scenarios whose records must be
 byte-identical to their kernel-engine base scenario — the executable
 form of the round elimination engine contract.  The fast twins are
-compared here in tier-1; CI's roundelim-perf job repeats the comparison
-on the full round_elimination suite payload (including the slower
-Theorem B.2 speedup twin).
+run and compared here; ``test_golden_records.py`` compares every twin's
+golden records with its base's (including the slower Theorem B.2
+speedup twin), and CI ``cmp``s fresh suite runs against those files.
 """
 
 from repro.experiments import execute_scenario, get_scenario

@@ -44,15 +44,15 @@ class TestConfiguration:
             Configuration("MO").replace_one("Z", "X")
 
     def test_replace_all(self):
-        assert Configuration("MOO").replace_all("O", "X") == Configuration("MXX")
+        assert Configuration("MOO").map_labels({"O": "X"}) == Configuration("MXX")
 
     def test_map_labels_keeps_unmapped(self):
         config = Configuration("MOO").map_labels({"O": "P"})
         assert config == Configuration("MPP")
 
     def test_is_submultiset_of(self):
-        assert Configuration("MO").is_submultiset_of(Configuration("MOO"))
-        assert not Configuration("MOO").is_submultiset_of(Configuration("MO"))
+        assert Configuration("MOO").extends(Configuration("MO").counter)
+        assert not Configuration("MO").extends(Configuration("MOO").counter)
 
     def test_hashable(self):
         assert len({Configuration("MO"), Configuration("OM")}) == 1

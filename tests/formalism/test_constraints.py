@@ -31,7 +31,7 @@ class TestConstraint:
 
     def test_size_of_empty_constraint(self):
         assert Constraint([]).size == 0
-        assert Constraint([]).is_empty
+        assert len(Constraint([])) == 0
 
     def test_from_condensed_expands_union(self):
         constraint = mm_black(3)
@@ -64,10 +64,8 @@ class TestConstraint:
         assert constraint.completions(Counter("MOP")) == frozenset()
 
     def test_restrict_labels(self):
-        restricted = mm_black(3).restrict_labels(frozenset("MO"))
-        assert Configuration("MOO") in restricted
-        assert Configuration("OOO") in restricted
-        assert Configuration("MOP") not in restricted
+        within = {config for config in mm_black(3) if config.support <= frozenset("MO")}
+        assert within == {Configuration("MOO"), Configuration("OOO")}
 
     def test_map_labels(self):
         mapped = mm_black(3).map_labels({"P": "O"})

@@ -6,6 +6,7 @@ import math
 import networkx as nx
 import pytest
 
+from repro.core.bounds import theorem_b2_bound
 from repro.graphs import (
     Hypergraph,
     analyze_support_graph,
@@ -27,7 +28,6 @@ from repro.graphs import (
     mark_bipartition,
     padded_support_graph,
     random_regular_with_girth,
-    theorem_b2_budget,
 )
 from repro.utils import GraphConstructionError, InvalidParameterError
 
@@ -64,13 +64,13 @@ class TestGirth:
             (lambda: cage("petersen")[0], 0.5),
             (lambda: cage("mcgee")[0], 1.5),
             (lambda: cage("tutte_coxeter")[0], 2.0),
-            (lambda: nx.path_graph(5), math.inf),
+            (lambda: nx.path_graph(5), 20),
         ],
     )
     def test_theorem_b2_budget(self, builder, budget):
-        """The (g−4)/2 term of Theorem B.2's min{2k, (g−4)/2} on certified
-        girths; a forest has no cycle, so girth caps nothing."""
-        assert theorem_b2_budget(exact_girth(builder())) == budget
+        """Theorem B.2's min{2k, (g−4)/2} at k = 10 on certified girths:
+        the cages' (g−4)/2 binds; a forest has no cycle, so 2k does."""
+        assert theorem_b2_bound(10, exact_girth(builder())) == budget
 
 
 class TestIndependenceAndChromatic:
@@ -192,7 +192,7 @@ class TestHypergraphs:
     def test_linear_uniform_generator(self):
         hyper = linear_uniform_hypergraph(9, 2, 3, seed=5)
         assert hyper.is_regular(2)
-        assert hyper.is_uniform(3)
+        assert all(len(edge) == 3 for edge in hyper.edges)
         assert hyper.is_linear()
 
     def test_divisibility_guard(self):
@@ -209,4 +209,4 @@ class TestSupportGraphReport:
         assert report.girth == 5
         assert report.chromatic_number == 3
         assert not report.is_bipartite
-        assert report.theorem_b2_round_budget() == 0.5
+        assert theorem_b2_bound(1, report.girth) == 0.5

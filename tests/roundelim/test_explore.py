@@ -16,7 +16,9 @@ from repro.roundelim.explore import (
     STATUS_OK,
     compute_step,
     explore,
+    frontier,
     reports_identical,
+    uniform_zero_round,
 )
 from repro.utils import InvalidParameterError
 from repro.utils.serialization import canonical_dumps
@@ -192,8 +194,9 @@ class TestDeterminism:
         assert reports_identical(default, tiny)
         assert tiny.relaxation_fixed_points == default.relaxation_fixed_points
 
-    def test_best_first_order_is_deterministic(self):
-        policy = ExplorationPolicy(order="min-alphabet", batch_size=2)
+    def test_best_first_order_is_deterministic(self, monkeypatch):
+        monkeypatch.setattr(frontier, "BATCH_SIZE", 2)
+        policy = ExplorationPolicy(order="min-alphabet")
         first = explore(MATCHING_ROOTS, policy=policy, limits=MATCHING_LIMITS)
         second = explore(MATCHING_ROOTS, policy=policy, limits=MATCHING_LIMITS)
         assert reports_identical(first, second)
@@ -240,6 +243,32 @@ class TestResumability:
         assert reports_identical(full, scratch)
 
 
+class TestPolicyBlock:
+    """The report's ``policy`` block is hashed into every report digest
+    (the golden exploration records, perfbench's explore pins), so a
+    changed default or constant must show up here as a declared change."""
+
+    def test_default_policy_block(self):
+        assert ExplorationPolicy().describe() == {
+            "order": "bfs",
+            "moves": ["RE"],
+            "batch_size": 4,
+            "step_budget": 200_000,
+            "merge_alphabet_cap": 5,
+            "link_alphabet_cap": 12,
+            "zero_round": "uniform",
+            "max_sequences": 3,
+            "verify_sequences": True,
+        }
+
+    def test_zero_round_is_the_uniform_test(self):
+        store = ProblemStore()
+        report = explore(MATCHING_ROOTS, limits=MATCHING_LIMITS, store=store)
+        assert report.zero_round_nodes  # the single-label RE endpoint
+        for digest, node in report.nodes.items():
+            assert node["zero_round"] is uniform_zero_round(store.problem_of(digest))
+
+
 class TestPolicyValidation:
     def test_unknown_order_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -249,10 +278,6 @@ class TestPolicyValidation:
         with pytest.raises(InvalidParameterError):
             ExplorationPolicy(moves=("RE", "teleport"))
 
-    def test_unknown_zero_round_mode_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            ExplorationPolicy(zero_round="oracle")
-
     def test_limits_must_be_positive(self):
         with pytest.raises(InvalidParameterError):
             ExplorationLimits(max_depth=0)
@@ -261,8 +286,9 @@ class TestPolicyValidation:
         with pytest.raises(InvalidParameterError):
             explore([])
 
-    def test_merge_moves_grow_the_frontier(self):
-        policy = ExplorationPolicy(moves=("RE", "merge"), merge_alphabet_cap=3)
+    def test_merge_moves_grow_the_frontier(self, monkeypatch):
+        monkeypatch.setattr(frontier, "MERGE_ALPHABET_CAP", 3)
+        policy = ExplorationPolicy(moves=("RE", "merge"))
         problem = pi_matching(3, 2, 1)
         report = explore(
             [problem],

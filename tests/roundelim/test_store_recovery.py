@@ -195,7 +195,7 @@ class TestResumeParity:
     def test_exploration_resume_over_a_damaged_store(self, tmp_path, problem):
         """The satellite end-to-end: explore, damage the store, resume —
         report payloads byte-identical, recompute bounded by the damage."""
-        policy = ExplorationPolicy(moves=("RE",), zero_round="uniform")
+        policy = ExplorationPolicy(moves=("RE",))
         limits = ExplorationLimits(max_depth=2, max_nodes=6)
         first = explore(
             [problem], policy=policy, limits=limits,

@@ -13,7 +13,7 @@ class TestInterning:
         y = formula.var(("x", 0, 1))
         assert (x, y) == (1, 2)
         assert formula.var(("x", 0, 0)) == x  # re-intern is a lookup
-        assert formula.key_of(x) == ("x", 0, 0)
+        assert formula.num_vars == 2
 
     def test_clause_literals_must_name_interned_vars(self):
         formula = CnfFormula()

@@ -34,7 +34,6 @@ KEPT = {
     "corollary_35_bound": "Corollary 3.5's hypergraph form of that bound",
     "supported_local_lower_bound": "Theorem 3.4's pipeline on a support graph",
     "lemma21_graph": "a concrete stand-in for Lemma 2.1's graph family",
-    "theorem_b2_budget": "the (g−4)/2 term of Theorem B.2's bound",
     "xy_relaxation_config_map": "Observation 4.3's relaxation witness",
     "matching_counting_certificate": "Lemmas 4.7–4.9 evaluated on a label-set assignment",
     "classify_matching_nodes": "Lemma 4.8's split of white nodes into M- and P-nodes",
