@@ -5,7 +5,6 @@ from repro.checkers.graph_problems import (
     check_arbdefective_colored_ruling_set,
     check_arbdefective_coloring,
     check_maximal_matching,
-    check_mis,
     check_proper_coloring,
     check_ruling_set,
     check_sinkless_orientation,
@@ -23,7 +22,6 @@ __all__ = [
     "check_bipartite_solution",
     "check_half_edge_labeling",
     "check_maximal_matching",
-    "check_mis",
     "check_proper_coloring",
     "check_ruling_set",
     "check_sinkless_orientation",

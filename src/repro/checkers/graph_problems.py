@@ -341,11 +341,6 @@ def check_arbdefective_colored_ruling_set(
     return _ok()
 
 
-def check_mis(graph: nx.Graph, independent_set: set) -> CheckResult:
-    """Maximal independent set: independent + dominating at distance 1."""
-    return check_ruling_set(graph, independent_set, beta=1, independent=True)
-
-
 def check_sinkless_orientation(
     graph: nx.Graph, orientation: dict[frozenset, object]
 ) -> CheckResult:

@@ -20,15 +20,9 @@ from repro.experiments.registry import (
     suite_names,
 )
 from repro.experiments.runner import Runner, SuiteResult, execute_scenario
-from repro.experiments.scenarios import (
-    CHECKERS,
-    RESULT_SCHEMA,
-    Scenario,
-    ScenarioResult,
-)
+from repro.experiments.scenarios import RESULT_SCHEMA, Scenario, ScenarioResult
 
 __all__ = [
-    "CHECKERS",
     "PIPELINES",
     "RESULT_SCHEMA",
     "Runner",

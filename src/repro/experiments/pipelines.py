@@ -2,12 +2,16 @@
 
 Each pipeline takes a resolved :class:`~repro.experiments.scenarios.Scenario`
 plus that scenario's private RNG and returns a list of *records* — plain
-dicts of deterministic, JSON-ready observations.  Graph generation, input
-subgraph construction, round measurement, checker invocation and
-paper-bound arithmetic live here once.  A record's ``valid`` states
-whether the paper claim it measures holds, so a failing claim makes the
-runner exit non-zero; README's claims table maps each statement of the
-paper to its scenario and the record field that carries the verdict.
+dicts of deterministic, JSON-ready observations.  The parameters its
+scenarios may set are its keyword-only arguments: the signature is the
+scenario schema, the runner passes ``scenario.params`` as keywords, and a
+parameter without a default is one every scenario of the pipeline sets.
+Graph generation, input subgraph construction, round measurement,
+validity checks and paper-bound arithmetic live here once.  A record's
+``valid`` states whether the paper claim it measures holds, so a failing
+claim makes the runner exit non-zero; README's claims table maps each
+statement of the paper to its scenario and the record field that carries
+the verdict.
 
 Determinism contract: a record may depend only on the scenario definition
 and the supplied RNG — never on wall-clock, process identity or execution
@@ -38,6 +42,11 @@ from repro.analysis import (
     extract_family_solution,
     palette_size,
     peel_once,
+)
+from repro.checkers import (
+    check_bipartite_solution,
+    check_maximal_matching,
+    check_proper_coloring,
 )
 from repro.core import (
     admissible_subgraphs,
@@ -111,8 +120,8 @@ from repro.roundelim import (
 from repro.solvers import lift_solvable_bipartite, lift_solvable_non_bipartite, solve_bipartite
 from repro.utils import InvalidParameterError
 
-#: Pipeline registry: key → callable(scenario, rng) -> list[dict].
-PIPELINES: dict[str, Callable[[Scenario, random.Random], list[dict]]] = {}
+#: Pipeline registry: key → callable(scenario, rng, **params) -> list[dict].
+PIPELINES: dict[str, Callable[..., list[dict]]] = {}
 
 
 def pipeline(name: str):
@@ -125,7 +134,7 @@ def pipeline(name: str):
     return register
 
 
-def resolve_pipeline(name: str) -> Callable[[Scenario, random.Random], list[dict]]:
+def resolve_pipeline(name: str) -> Callable[..., list[dict]]:
     try:
         return PIPELINES[name]
     except KeyError:
@@ -216,7 +225,6 @@ def matching_proposal_sweep(scenario: Scenario, rng: random.Random) -> list[dict
     """Proposal-algorithm rounds vs the Theorem 4.1 bound, neither falling as Δ′ grows."""
     cover = _require_family(scenario, rng)
     delta = max(dict(cover.degree).values())
-    checker = scenario.resolve_checker()
     records = []
     previous_rounds = 0
     previous_bound = -math.inf
@@ -231,11 +239,9 @@ def matching_proposal_sweep(scenario: Scenario, rng: random.Random) -> list[dict
             input_edges=input_edges,
         )
         matching, rounds = report.outputs, report.rounds
-        valid = True
-        if checker is not None:
-            input_graph = nx.Graph(tuple(edge) for edge in input_edges)
-            input_graph.add_nodes_from(cover.nodes)
-            valid = bool(checker(input_graph, matching))
+        input_graph = nx.Graph(tuple(edge) for edge in input_edges)
+        input_graph.add_nodes_from(cover.nodes)
+        valid = bool(check_maximal_matching(input_graph, matching))
         # The bound at Δ = 50 and 10·Δ′, evaluated at n = Δ^⌈(k+1)/ε⌉: there
         # ε·log_Δ n exceeds k, so the min is the Θ(Δ′) term k, not log n.
         k = matching_sequence_length(delta_prime * 10, 0, 1)
@@ -275,12 +281,9 @@ def matching_labels_example(scenario: Scenario, rng: random.Random) -> list[dict
     # alone could mask a broken matching; check both independently.
     matching_valid = bool(report.valid)
     labeling = matching_to_labels(cover, matching)
-    checker = scenario.resolve_checker()
-    labeling_valid = True
-    if checker is not None:
-        labeling_valid = bool(
-            checker(cover, maximal_matching_problem(degree), labeling)
-        )
+    labeling_valid = bool(
+        check_bipartite_solution(cover, maximal_matching_problem(degree), labeling)
+    )
     counts = Counter(labeling.values())
     return [
         {
@@ -297,7 +300,9 @@ def matching_labels_example(scenario: Scenario, rng: random.Random) -> list[dict
 
 
 @pipeline("matching_sequence_steps")
-def matching_sequence_steps(scenario: Scenario, rng: random.Random) -> list[dict]:
+def matching_sequence_steps(
+    scenario: Scenario, rng: random.Random, *, x: int, y: int, re_engine: str = "kernel"
+) -> list[dict]:
     """Lemma 4.5 steps: RE(Π_Δ(x,y)) relaxes to Π_Δ(x+y,y), certified.
 
     No label map may witness a step: the steps need the general
@@ -306,9 +311,6 @@ def matching_sequence_steps(scenario: Scenario, rng: random.Random) -> list[dict
     operator contract, so scenarios differing only in ``re_engine``
     cross-check the two implementations end to end.
     """
-    x = scenario.option("x", 0)
-    y = scenario.option("y", 1)
-    re_engine = scenario.option("re_engine", "kernel")
     records = []
     for delta in scenario.sizes:
         source, _ = compress_labels(
@@ -335,18 +337,14 @@ def matching_sequence_steps(scenario: Scenario, rng: random.Random) -> list[dict
 
 
 @pipeline("matching_full_sequence")
-def matching_full_sequence(scenario: Scenario, rng: random.Random) -> list[dict]:
+def matching_full_sequence(
+    scenario: Scenario, rng: random.Random, *, delta: int, x: int, y: int
+) -> list[dict]:
     """Corollary 4.6: verify the whole lower-bound sequence mechanically."""
-    delta = scenario.option("delta", 4)
-    x = scenario.option("x", 0)
-    y = scenario.option("y", 1)
-    re_engine = scenario.option("re_engine", "kernel")
     records = []
     for steps in scenario.sizes:
         problems = matching_sequence_problems(delta, x, y, steps=steps)
-        witnesses = LowerBoundSequence(problems=tuple(problems)).verify(
-            engine=re_engine
-        )
+        witnesses = LowerBoundSequence(problems=tuple(problems)).verify()
         records.append(
             {
                 "delta": delta,
@@ -370,11 +368,12 @@ _FIGURE1_SETS = frozenset({"X", "OX", "MX", "MOX", "OPX", "MOPX", "MOPXZ"})
 
 
 @pipeline("matching_black_diagram")
-def matching_black_diagram(scenario: Scenario, rng: random.Random) -> list[dict]:
+def matching_black_diagram(
+    scenario: Scenario, rng: random.Random, *, delta: int, y: int
+) -> list[dict]:
     """Figure 1: Π_Δ′(0, y)'s black diagram is the drawing's transitive
     closure; the endpoint x′ = Δ′ − 1 − y refines the drawing (README,
     "Findings") and keeps its right-closed sets among those §4.2 lists."""
-    delta, y = scenario.option("delta", 5), scenario.option("y", 1)
     drawn = frozenset(nx.transitive_closure(nx.DiGraph(_FIGURE1_EDGES)).edges)
     generic = diagram_edges(black_diagram(pi_matching(delta, 0, y)))
     endpoint = black_diagram(pi_matching_endpoint(delta, y))
@@ -390,13 +389,13 @@ def matching_black_diagram(scenario: Scenario, rng: random.Random) -> list[dict]
 
 
 @pipeline("matching_contradiction_region")
-def matching_contradiction_region(scenario: Scenario, rng: random.Random) -> list[dict]:
+def matching_contradiction_region(
+    scenario: Scenario, rng: random.Random, *, ratios: tuple[int, ...], c: int, y: int
+) -> list[dict]:
     """§4.2: per Δ′, the ratios Δ/Δ′ at which Lemma 4.8's lower bound
     exceeds Lemma 4.9's upper bound, which must include every ratio from
     the paper's c on; then the contrast: on the support, where Δ = Δ′,
     the endpoint's lift is solvable, so the bound needs Δ ≫ Δ′."""
-    y, c = scenario.option("y", 1), scenario.option("c", 5)
-    ratios = scenario.option("ratios", (2, 3, 5, 8))
     records = []
     for delta_prime in scenario.sizes:
         found = [r for r in ratios if contradiction_region(r * delta_prime, delta_prime, y=y)]
@@ -442,12 +441,13 @@ def ruling_bound_series(scenario: Scenario, rng: random.Random) -> list[dict]:
 
 
 @pipeline("ruling_black_diagram")
-def ruling_black_diagram(scenario: Scenario, rng: random.Random) -> list[dict]:
+def ruling_black_diagram(
+    scenario: Scenario, rng: random.Random, *, delta: int, colors: int, beta: int
+) -> list[dict]:
     """Figure 2: Π_Δ(c, β)'s black diagram is exactly three parts, each
     recorded as present: the closed pointer chain P1 → … → Pβ → Uβ → … →
     U1, each color set above its proper subsets, and X above every label."""
-    beta = scenario.option("beta", 2)
-    problem = pi_ruling(scenario.option("delta", 3), scenario.option("colors", 3), beta)
+    problem = pi_ruling(delta, colors, beta)
     edges = diagram_edges(black_diagram(problem))
     chain = [f"P{i}" for i in range(1, beta + 1)] + [f"U{i}" for i in range(beta, 0, -1)]
     sets = {a: frozenset(a.strip("{}").split(",")) for a in problem.alphabet if a[0] == "{"}
@@ -463,23 +463,17 @@ def ruling_black_diagram(scenario: Scenario, rng: random.Random) -> list[dict]:
 
 
 @pipeline("ruling_peeling")
-def ruling_peeling(scenario: Scenario, rng: random.Random) -> list[dict]:
+def ruling_peeling(scenario: Scenario, rng: random.Random, *, beta: int, delta: int) -> list[dict]:
     """One Lemma 6.6 peeling step executed on a real ruling-set solution."""
     graph = _require_family(scenario, rng)
-    beta = scenario.option("beta", 2)
-    delta = scenario.option("delta", 3)
     report = solve(
         f"ruling-set:Δ={delta},c=1,β={beta}",
         algorithm="ruling-set:class-sweep",
         engine=scenario.engine,
         graph=graph,
-        check=False,  # the scenario checker below validates domination
     )
     selected, rounds = report.outputs, report.rounds
-    checker = scenario.resolve_checker()
-    valid = True
-    if checker is not None:
-        valid = bool(checker(graph, selected, beta=beta, independent=True))
+    valid = bool(report.valid)  # independent and β-dominating
     labels = ruling_set_to_family_labels(
         graph, selected, {node: 1 for node in selected}, set(), alpha=0, beta=beta
     )
@@ -529,23 +523,21 @@ def ruling_peeling(scenario: Scenario, rng: random.Random) -> list[dict]:
 
 
 @pipeline("arbdefective_fixed_points")
-def arbdefective_fixed_points(scenario: Scenario, rng: random.Random) -> list[dict]:
+def arbdefective_fixed_points(scenario: Scenario, rng: random.Random, *, k: int) -> list[dict]:
     """Lemma 5.4: RE(Π_Δ(k)) ≅ Π_Δ(k), run literally over a Δ sweep."""
-    k = scenario.option("k", 2)
-    re_engine = scenario.option("re_engine", "kernel")
     records = []
     for delta in scenario.sizes:
-        fixed = is_fixed_point(pi_arbdefective(delta, k), engine=re_engine)
+        fixed = is_fixed_point(pi_arbdefective(delta, k))
         records.append({"delta": delta, "k": k, "fixed_point": fixed, "valid": fixed})
     return records
 
 
 @pipeline("arbdefective_lift_refutation")
-def arbdefective_lift_refutation(scenario: Scenario, rng: random.Random) -> list[dict]:
+def arbdefective_lift_refutation(
+    scenario: Scenario, rng: random.Random, *, k: int, delta: int
+) -> list[dict]:
     """Corollary 5.8: the lift refuted on a support with χ > 2k."""
     graph = _require_family(scenario, rng)
-    k = scenario.option("k", 1)
-    delta = scenario.option("delta", 3)
     report = analyze_support_graph(graph)
     solvable, _sol, _lifted = lift_solvable_non_bipartite(
         graph, pi_arbdefective(2, k), delta=delta, rank=2
@@ -568,10 +560,9 @@ def arbdefective_lift_refutation(scenario: Scenario, rng: random.Random) -> list
 
 
 @pipeline("arbdefective_extraction")
-def arbdefective_extraction(scenario: Scenario, rng: random.Random) -> list[dict]:
+def arbdefective_extraction(scenario: Scenario, rng: random.Random, *, delta: int) -> list[dict]:
     """Lemmas 5.9 + 5.10: Hall extraction and 2k-coloring, executed."""
     graph = _require_family(scenario, rng)
-    delta = scenario.option("delta", 3)
     report = solve(
         f"arbdefective:Δ={delta},c=2",
         algorithm="arbdefective:class-sweep",
@@ -589,10 +580,7 @@ def arbdefective_extraction(scenario: Scenario, rng: random.Random) -> list[dict
     s_nodes = set(graph.nodes)
     family = extract_family_solution(graph, s_nodes, sets, k)
     coloring = extract_coloring(graph, s_nodes, family)
-    checker = scenario.resolve_checker()
-    proper = True
-    if checker is not None:
-        proper = bool(checker(graph, coloring))
+    proper = bool(check_proper_coloring(graph, coloring))
     palette = palette_size(coloring)
     return [
         {
@@ -622,13 +610,9 @@ def mis_supported(scenario: Scenario, rng: random.Random) -> list[dict]:
         algorithm="mis:aapr23",
         engine=scenario.engine,
         graph=graph,
-        check=False,  # the scenario checker below validates the MIS
     )
     mis, rounds = solved.outputs, solved.rounds
-    checker = scenario.resolve_checker()
-    valid = True
-    if checker is not None:
-        valid = bool(checker(graph, mis))
+    valid = bool(solved.valid)
     return [
         {
             "n": report.n,
@@ -642,13 +626,12 @@ def mis_supported(scenario: Scenario, rng: random.Random) -> list[dict]:
 
 
 @pipeline("mis_luby")
-def mis_luby(scenario: Scenario, rng: random.Random) -> list[dict]:
+def mis_luby(scenario: Scenario, rng: random.Random, *, trials: int) -> list[dict]:
     """Luby's randomized MIS — exercises the seeded randomized path."""
     graph = _require_family(scenario, rng)
     delta = max(dict(graph.degree).values())
-    checker = scenario.resolve_checker()
     records = []
-    for _trial in range(scenario.option("trials", 1)):
+    for _trial in range(trials):
         seed = rng.randrange(2**31)
         report = solve(
             f"mis:Δ={delta}",
@@ -656,19 +639,15 @@ def mis_luby(scenario: Scenario, rng: random.Random) -> list[dict]:
             engine=scenario.engine,
             graph=graph,
             seed=seed,
-            check=False,  # the scenario checker below validates the MIS
         )
         mis, rounds = report.outputs, report.rounds
-        valid = True
-        if checker is not None:
-            valid = bool(checker(graph, mis))
         records.append(
             {
                 "n": graph.number_of_nodes(),
                 "luby_seed": seed,
                 "mis_size": len(mis),
                 "rounds": rounds,
-                "valid": valid,
+                "valid": bool(report.valid),
             }
         )
     return records
@@ -701,9 +680,10 @@ def mis_parameters(scenario: Scenario, rng: random.Random) -> list[dict]:
 
 
 @pipeline("re_step_census")
-def re_step_census(scenario: Scenario, rng: random.Random) -> list[dict]:
+def re_step_census(
+    scenario: Scenario, rng: random.Random, *, re_engine: str = "kernel"
+) -> list[dict]:
     """Alphabet/configuration growth of one RE step on MM_Δ."""
-    re_engine = scenario.option("re_engine", "kernel")
     records = []
     for delta in scenario.sizes:
         problem = maximal_matching_problem(delta)
@@ -723,12 +703,12 @@ def re_step_census(scenario: Scenario, rng: random.Random) -> list[dict]:
 
 
 @pipeline("speedup_b2")
-def speedup_b2(scenario: Scenario, rng: random.Random) -> list[dict]:
+def speedup_b2(
+    scenario: Scenario, rng: random.Random, *, edge_limit: int, re_engine: str = "kernel"
+) -> list[dict]:
     """Lemma B.1 / Theorem B.2: the T = 1 → 0 speedup step, exhaustively
     validated on every admissible input graph of the support."""
     graph = _require_family(scenario, rng)
-    edge_limit = scenario.option("edge_limit", 8)
-    re_engine = scenario.option("re_engine", "kernel")
     problem = maximal_matching_problem(2)
     lifted = lift(problem, 2, 2)
     solution = solve_bipartite(graph, lifted.to_problem())
@@ -763,7 +743,7 @@ def speedup_b2(scenario: Scenario, rng: random.Random) -> list[dict]:
 
 
 @pipeline("lift_equivalence")
-def lift_equivalence(scenario: Scenario, rng: random.Random) -> list[dict]:
+def lift_equivalence(scenario: Scenario, rng: random.Random, *, edge_limit: int) -> list[dict]:
     """Theorem 3.2: Π is 0-round solvable on a support iff its lift is,
     decided by search against a brute force of the whole algorithm space;
     where the lift is solvable, both directions of the proof round-trip."""
@@ -773,7 +753,6 @@ def lift_equivalence(scenario: Scenario, rng: random.Random) -> list[dict]:
         ("SO_2 on C4", 4, sinkless_orientation_problem(2)),
         ("forced-MM on C4", 4, problem_from_lines(["M M"], ["M O"], name="forced-MM")),
     )
-    edge_limit = scenario.option("edge_limit", 10)
     records = []
     for name, length, problem in gallery:
         graph = mark_bipartition(cycle(length))
@@ -823,17 +802,17 @@ def instance_counts(scenario: Scenario, rng: random.Random) -> list[dict]:
 
 
 @pipeline("union_bound_derandomization")
-def union_bound_derandomization(scenario: Scenario, rng: random.Random) -> list[dict]:
+def union_bound_derandomization(
+    scenario: Scenario, rng: random.Random, *, instances: int, seeds: int, failure: float
+) -> list[dict]:
     """Lemma C.1's proof step, executed: a failure probability below
     1/#instances guarantees a seed that succeeds everywhere; find it."""
-    instances = list(range(scenario.option("instances", 12)))
-    failure = scenario.option("failure", 1 / 16)
 
     def succeeds(instance: int, seed: int) -> bool:
         return random.Random(f"{instance}:{seed}").random() > failure
 
-    result = derandomize_by_union_bound(instances, range(scenario.option("seeds", 256)), succeeds)
-    guaranteed = union_bound_guarantee(len(instances), failure)
+    result = derandomize_by_union_bound(list(range(instances)), range(seeds), succeeds)
+    guaranteed = union_bound_guarantee(instances, failure)
     return [
         {
             "guaranteed": guaranteed,
@@ -850,19 +829,20 @@ def union_bound_derandomization(scenario: Scenario, rng: random.Random) -> list[
 
 
 @pipeline("verification_fuzz")
-def verification_fuzz(scenario: Scenario, rng: random.Random) -> list[dict]:
+def verification_fuzz(
+    scenario: Scenario, rng: random.Random, *, cases: int, oracles: tuple[str, ...] = ()
+) -> list[dict]:
     """A bounded differential-fuzz batch as an experiment scenario.
 
-    Runs :func:`repro.verification.run_fuzz` over the scenario's oracles
-    (option ``oracles``, default all) with ``cases`` cases; the fuzz seed
+    Runs :func:`repro.verification.run_fuzz` over the scenario's
+    ``oracles`` (default: all) with ``cases`` cases; the fuzz seed
     derives from the scenario RNG, so the records are deterministic per
     (suite, base seed) like every other pipeline.  A record is invalid as
     soon as one discrepancy survives — the suite fails loudly.
     """
     from repro.verification import available_oracles, run_fuzz
 
-    oracle_names = list(scenario.option("oracles") or available_oracles())
-    cases = scenario.option("cases", 10)
+    oracle_names = list(oracles or available_oracles())
     fuzz_seed = rng.randrange(10**6)
     payload, _entries = run_fuzz(oracle_names, cases=cases, seed=fuzz_seed)
     return [
@@ -883,7 +863,7 @@ def verification_fuzz(scenario: Scenario, rng: random.Random) -> list[dict]:
 
 
 @pipeline("service_roundtrip")
-def service_roundtrip(scenario: Scenario, rng: random.Random) -> list[dict]:
+def service_roundtrip(scenario: Scenario, rng: random.Random, *, duplicates: int) -> list[dict]:
     """The service's core contract, exercised as an experiment scenario.
 
     Runs an in-process :class:`~repro.service.SolveService` (no socket:
@@ -899,15 +879,11 @@ def service_roundtrip(scenario: Scenario, rng: random.Random) -> list[dict]:
     from repro.service import SolveService, solve_request
     from repro.utils.serialization import canonical_dumps
 
-    specs = scenario.option(
-        "specs",
-        (
-            ("maximal-matching:delta=3", "matching:proposal"),
-            ("ruling-set:delta=3,colors=1,beta=2", "ruling-set:class-sweep"),
-        ),
+    specs = (
+        ("maximal-matching:delta=3", "matching:proposal"),
+        ("ruling-set:delta=3,colors=1,beta=2", "ruling-set:class-sweep"),
     )
-    n = scenario.option("n", 32)
-    duplicates = scenario.option("duplicates", 4)
+    n = 32
     records = []
     with SolveService(jobs=1) as service:
         for spec, algorithm in specs:
@@ -975,10 +951,12 @@ def service_roundtrip(scenario: Scenario, rng: random.Random) -> list[dict]:
 
 
 @pipeline("zero_round_gates")
-def zero_round_gates(scenario: Scenario, rng: random.Random) -> list[dict]:
+def zero_round_gates(
+    scenario: Scenario, rng: random.Random, *, delta: int, solver: str = "csp"
+) -> list[dict]:
     """Theorem 3.2 zero-round gates decided by a named solver backend.
 
-    The ``solver`` option picks the decision procedure (``csp``/``sat``)
+    ``solver`` picks the decision procedure (``csp``/``sat``)
     behind :func:`~repro.core.zero_round.zero_round_solvable` and
     :func:`~repro.solvers.solution_set`.  Like the engine, the backend is
     deliberately absent from the records: by the backend contract they
@@ -992,8 +970,6 @@ def zero_round_gates(scenario: Scenario, rng: random.Random) -> list[dict]:
     from repro.solvers import solution_set
 
     support = _require_family(scenario, rng)
-    solver = scenario.option("solver", "csp")
-    delta = scenario.option("delta", 2)
     records = []
     for x in scenario.sizes:
         problem = pi_matching(delta, x, 1)
@@ -1020,15 +996,32 @@ def zero_round_gates(scenario: Scenario, rng: random.Random) -> list[dict]:
 
 
 @pipeline("exploration_search")
-def exploration_search(scenario: Scenario, rng: random.Random) -> list[dict]:
+def exploration_search(
+    scenario: Scenario,
+    rng: random.Random,
+    *,
+    delta: int,
+    max_depth: int,
+    max_nodes: int,
+    k: int = 2,
+    colors: int = 1,
+    beta: int = 2,
+    order: str = "bfs",
+    moves: tuple[str, ...] = ("RE",),
+    re_engine: str = "kernel",
+    jobs: int = 1,
+    expect_sequence_length: int = 0,
+    expect_fixed_point: str | None = None,
+) -> list[dict]:
     """One frontier search over a paper family, summarized per family.
 
     Roots come from the problem family the scenario's ``family`` field
     names (``matching`` uses ``scenario.sizes`` as the x-sweep of
     Π_Δ(x,1); ``ruling`` / ``arbdefective`` seed their single family
     problem — no graph is involved, so the field is free for this); the
-    search runs with the scenario's policy knobs and the record distills
-    the deterministic :class:`ExplorationReport`.  ``jobs`` (worker
+    search runs with the scenario's ``order`` and ``moves`` under the
+    explorer's default step budget, and the record distills the
+    deterministic :class:`ExplorationReport`.  ``jobs`` (worker
     processes inside the explorer) and ``re_engine`` are execution
     details: by the explorer's determinism contract and the operator
     engine contract the record — including the embedded report digest —
@@ -1041,39 +1034,23 @@ def exploration_search(scenario: Scenario, rng: random.Random) -> list[dict]:
         explore,
     )
 
-    family = scenario.family or "matching"
-    delta = scenario.option("delta", 3)
+    family = scenario.family
     if family == "matching":
-        x_values = tuple(scenario.sizes) or tuple(range(delta))
-        roots = [pi_matching(delta, x, 1) for x in x_values]
+        roots = [pi_matching(delta, x, 1) for x in scenario.sizes]
     elif family == "ruling":
-        roots = [
-            pi_ruling(delta, scenario.option("colors", 1), scenario.option("beta", 2))
-        ]
+        roots = [pi_ruling(delta, colors, beta)]
     elif family == "arbdefective":
-        roots = [pi_arbdefective(delta, scenario.option("k", 2))]
+        roots = [pi_arbdefective(delta, k)]
     else:
         raise InvalidParameterError(
             f"unknown exploration family {family!r}; "
             f"known: ['arbdefective', 'matching', 'ruling']"
         )
-    policy = ExplorationPolicy(
-        order=scenario.option("order", "bfs"),
-        moves=tuple(scenario.option("moves", ("RE",))),
-        step_budget=scenario.option("step_budget", 200_000),
-        engine=scenario.option("re_engine", "kernel"),
-    )
-    limits = ExplorationLimits(
-        max_depth=scenario.option("max_depth", 1),
-        max_nodes=scenario.option("max_nodes", 8),
-    )
-    report = explore(
-        roots, policy=policy, limits=limits, jobs=scenario.option("jobs", 1)
-    )
+    policy = ExplorationPolicy(order=order, moves=tuple(moves), engine=re_engine)
+    limits = ExplorationLimits(max_depth=max_depth, max_nodes=max_nodes)
+    report = explore(roots, policy=policy, limits=limits, jobs=jobs)
     payload = report.payload()
 
-    expect_sequence = scenario.option("expect_sequence_length", 0)
-    expect_fixed_point = scenario.option("expect_fixed_point")
     fixed_point_ok = True
     if expect_fixed_point == "exact":
         fixed_point_ok = len(report.fixed_points) >= 1
@@ -1102,6 +1079,6 @@ def exploration_search(scenario: Scenario, rng: random.Random) -> list[dict]:
             "report_digest": payload["digest"],
             "valid": consistent
             and fixed_point_ok
-            and report.best_sequence_length >= expect_sequence,
+            and report.best_sequence_length >= expect_sequence_length,
         }
     ]

@@ -21,7 +21,6 @@ SUITES: dict[str, tuple[Scenario, ...]] = {
             pipeline="matching_proposal_sweep",
             family="double_cover:tutte_coxeter",
             sizes=(1, 2, 3),
-            checker="maximal_matching",
         ),
         Scenario.create(
             "fig1-black-diagram",
@@ -33,7 +32,6 @@ SUITES: dict[str, tuple[Scenario, ...]] = {
             "fig3-formalism-labels",
             pipeline="matching_labels_example",
             family="double_cover:heawood",
-            checker="bipartite_solution",
         ),
         Scenario.create(
             "lem45-steps-x0",
@@ -96,7 +94,6 @@ SUITES: dict[str, tuple[Scenario, ...]] = {
             "thm61-peeling",
             pipeline="ruling_peeling",
             family="cage:tutte_coxeter",
-            checker="ruling_set",
             beta=2,
             delta=3,
         ),
@@ -107,7 +104,6 @@ SUITES: dict[str, tuple[Scenario, ...]] = {
             "thm61-peeling-vectorized",
             pipeline="ruling_peeling",
             family="cage:tutte_coxeter",
-            checker="ruling_set",
             beta=2,
             delta=3,
             engine="vectorized",
@@ -137,7 +133,6 @@ SUITES: dict[str, tuple[Scenario, ...]] = {
             "thm51-extraction",
             pipeline="arbdefective_extraction",
             family="cage:petersen",
-            checker="proper_coloring",
             delta=3,
         ),
     ),
@@ -147,7 +142,6 @@ SUITES: dict[str, tuple[Scenario, ...]] = {
                 f"aapr23-{name}",
                 pipeline="mis_supported",
                 family=f"cage:{name}",
-                checker="mis",
             )
             for name in ("petersen", "heawood", "pappus", "mcgee", "tutte_coxeter")
         ),
@@ -155,14 +149,12 @@ SUITES: dict[str, tuple[Scenario, ...]] = {
             "luby-petersen",
             pipeline="mis_luby",
             family="cage:petersen",
-            checker="mis",
             trials=3,
         ),
         Scenario.create(
             "luby-random-regular",
             pipeline="mis_luby",
             family="random_regular:3:4:16",
-            checker="mis",
             trials=2,
         ),
         Scenario.create(
@@ -376,7 +368,6 @@ SUITES: dict[str, tuple[Scenario, ...]] = {
             pipeline="matching_proposal_sweep",
             family="double_cover:heawood",
             sizes=(1, 2),
-            checker="maximal_matching",
         ),
         Scenario.create(
             "smoke-matching-step",
@@ -400,13 +391,11 @@ SUITES: dict[str, tuple[Scenario, ...]] = {
             "smoke-mis-petersen",
             pipeline="mis_supported",
             family="cage:petersen",
-            checker="mis",
         ),
         Scenario.create(
             "smoke-luby",
             pipeline="mis_luby",
             family="cage:petersen",
-            checker="mis",
             trials=1,
         ),
         Scenario.create(

@@ -21,10 +21,16 @@ from repro.utils.serialization import result_digest
 
 
 def execute_scenario(scenario: Scenario, base_seed: int = 0) -> ScenarioResult:
-    """Run one scenario: resolve its pipeline, feed it a derived RNG, time it."""
+    """Run one scenario: resolve its pipeline, feed it a derived RNG and
+    its parameters as keywords, time it.
+
+    The pipeline's signature is the scenario schema: a parameter it does
+    not declare, or a required one left out, raises ``TypeError`` before
+    the pipeline runs.
+    """
     pipeline = resolve_pipeline(scenario.pipeline)
     rng = scenario.derive_rng(base_seed)
-    records, wall_seconds = timed(pipeline, scenario, rng)
+    records, wall_seconds = timed(pipeline, scenario, rng, **dict(scenario.params))
     ok = all(record.get("valid", True) for record in records)
     return ScenarioResult(
         scenario=scenario,

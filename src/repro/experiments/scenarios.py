@@ -1,13 +1,17 @@
 """Declarative experiment scenarios.
 
-A :class:`Scenario` names everything one experiment needs — a graph
-family, a size sweep, a measurement pipeline, a validity checker and a
-seed — without holding any live objects, so scenarios are picklable
-(the parallel runner ships them to worker processes) and serializable
-(their description is embedded in result JSON).
+A :class:`Scenario` names everything one experiment needs — a
+measurement pipeline, a graph family, a size sweep, the pipeline's
+parameters and an execution engine — without holding any live objects,
+so scenarios are picklable (the parallel runner ships them to worker
+processes) and serializable (their description is embedded in result
+JSON).
 
 Pipelines and graph families are referenced *by key*; the tables live in
 :mod:`repro.experiments.pipelines` and are resolved at execution time.
+A pipeline declares the parameters it accepts as keyword-only arguments
+of its signature, and the runner passes ``params`` as keywords, so a key
+the pipeline does not declare is a ``TypeError`` before it runs.
 """
 
 from __future__ import annotations
@@ -15,32 +19,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 
-from repro.checkers import (
-    check_bipartite_solution,
-    check_maximal_matching,
-    check_mis,
-    check_proper_coloring,
-    check_ruling_set,
-)
-from repro.utils import InvalidParameterError
+from repro.api.engines import DEFAULT_ENGINE
 
 #: Version tag embedded in every result payload (for future BENCH_*.json
 #: trajectory tracking to key on).
-RESULT_SCHEMA = "repro.experiments/v1"
-
-#: Named validity checkers a scenario can reference.
-CHECKERS = {
-    "bipartite_solution": check_bipartite_solution,
-    "maximal_matching": check_maximal_matching,
-    "mis": check_mis,
-    "proper_coloring": check_proper_coloring,
-    "ruling_set": check_ruling_set,
-}
+RESULT_SCHEMA = "repro.experiments/v2"
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One declarative experiment: family + sweep + pipeline + checker + seed.
+    """One declarative experiment: pipeline + family + sweep + parameters.
 
     ``engine`` names the :mod:`repro.api` execution backend pipelines run
     their algorithms on.  It is an execution detail — like ``--jobs`` —
@@ -53,10 +41,8 @@ class Scenario:
     pipeline: str
     family: str | None = None
     sizes: tuple[int, ...] = ()
-    checker: str | None = None
-    seed: int = 0
     params: tuple[tuple[str, object], ...] = ()
-    engine: str = "object"
+    engine: str = DEFAULT_ENGINE
 
     @classmethod
     def create(
@@ -65,19 +51,15 @@ class Scenario:
         pipeline: str,
         family: str | None = None,
         sizes: tuple[int, ...] = (),
-        checker: str | None = None,
-        seed: int = 0,
-        engine: str = "object",
+        engine: str = DEFAULT_ENGINE,
         **params,
     ) -> "Scenario":
-        """Build a scenario with keyword parameters given naturally."""
+        """Build a scenario with the pipeline's parameters given as keywords."""
         return cls(
             name=name,
             pipeline=pipeline,
             family=family,
             sizes=tuple(sizes),
-            checker=checker,
-            seed=seed,
             params=tuple(sorted(params.items())),
             engine=engine,
         )
@@ -86,34 +68,15 @@ class Scenario:
         """The same scenario retargeted to another execution backend."""
         return replace(self, engine=engine)
 
-    @property
-    def options(self) -> dict:
-        """The extra pipeline parameters as a dict."""
-        return dict(self.params)
-
-    def option(self, key: str, default=None):
-        return self.options.get(key, default)
-
     def derive_rng(self, base_seed: int) -> random.Random:
         """The scenario's private RNG.
 
         Seeded from the run seed plus the scenario's own identity only, so
         the stream is identical whether the scenario runs serially, in a
-        worker process, or in a different position within its suite.
+        worker process, or in a different position within its suite.  The
+        ``0`` is the retired per-scenario seed, kept so no stream moves.
         """
-        return random.Random(f"{base_seed}:{self.seed}:{self.name}")
-
-    def resolve_checker(self):
-        """The checker callable, or ``None`` when no checker is declared."""
-        if self.checker is None:
-            return None
-        try:
-            return CHECKERS[self.checker]
-        except KeyError:
-            raise InvalidParameterError(
-                f"scenario {self.name!r} references unknown checker "
-                f"{self.checker!r}; known: {sorted(CHECKERS)}"
-            ) from None
+        return random.Random(f"{base_seed}:0:{self.name}")
 
     def describe(self) -> dict:
         """The serializable identity block embedded in result payloads.
@@ -127,8 +90,6 @@ class Scenario:
             "pipeline": self.pipeline,
             "family": self.family,
             "sizes": list(self.sizes),
-            "checker": self.checker,
-            "seed": self.seed,
             "params": {key: value for key, value in self.params},
         }
 

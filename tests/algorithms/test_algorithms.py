@@ -14,7 +14,6 @@ from repro.algorithms import global_sinkless_orientation
 from repro.checkers import (
     check_arbdefective_coloring,
     check_maximal_matching,
-    check_mis,
     check_proper_coloring,
     check_ruling_set,
     check_sinkless_orientation,
@@ -139,7 +138,7 @@ class TestMIS:
     def test_supported_mis_valid(self, name):
         graph, _d, _g = cage(name)
         mis, rounds = _mis(graph, "mis:aapr23")
-        assert check_mis(graph, mis)
+        assert check_ruling_set(graph, mis, beta=1, independent=True)
         colors_used = len(set(greedy_coloring(graph).values()))
         assert rounds == colors_used
 
@@ -147,13 +146,13 @@ class TestMIS:
     def test_luby_valid(self, seed):
         graph, _d, _g = cage("petersen")
         mis, rounds = _mis(graph, "mis:luby", seed=seed)
-        assert check_mis(graph, mis)
+        assert check_ruling_set(graph, mis, beta=1, independent=True)
         assert rounds >= 1
 
     def test_mis_from_ruling_sweep(self):
         graph, _d, _g = cage("heawood")
         mis, _rounds = _mis(graph, "ruling-set:class-sweep")
-        assert check_mis(graph, mis)
+        assert check_ruling_set(graph, mis, beta=1, independent=True)
 
 
 class TestColoring:

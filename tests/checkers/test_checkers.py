@@ -18,7 +18,6 @@ from repro.checkers import (
     check_bipartite_solution,
     check_half_edge_labeling,
     check_maximal_matching,
-    check_mis,
     check_proper_coloring,
     check_ruling_set,
     check_sinkless_orientation,
@@ -109,7 +108,7 @@ class TestRulingSetCheckers:
 
     def test_mis_checker(self):
         graph, _d, _g = cage("petersen")
-        assert not check_mis(graph, set())
+        assert not check_ruling_set(graph, set(), beta=1, independent=True)
 
     def test_colored_ruling_set_composite(self):
         graph = nx.path_graph(5)
@@ -127,23 +126,23 @@ class TestRulingSetCheckers:
         graph = nx.path_graph(3)
         nx.set_edge_attributes(graph, 5, "weight")
         assert check_ruling_set(graph, {1}, beta=1)
-        assert check_mis(graph, {1})
+        assert check_ruling_set(graph, {1}, beta=1, independent=True)
 
     def test_foreign_member_reported_first_in_str_order(self):
         graph = nx.path_graph(3)
         expected = CheckResult(valid=False, reason="S member 7 is not a graph node")
-        assert check_mis(graph, {1, 7, "x"}) == expected
+        assert check_ruling_set(graph, {1, 7, "x"}, beta=1, independent=True) == expected
         assert check_ruling_set(graph, {"x", 7}, beta=2) == expected
         assert check_arbdefective_colored_ruling_set(
             graph, {1, 7}, {1: 1, 7: 1}, set(), alpha=0, colors=1, beta=1
         ) == expected
-        assert check_mis(nx.Graph(), {0}) == CheckResult(
+        assert check_ruling_set(nx.Graph(), {0}, beta=1, independent=True) == CheckResult(
             valid=False, reason="S member 0 is not a graph node"
         )
 
     def test_first_adjacent_pair_follows_str_order(self):
         graph = nx.Graph([(10, 11), (2, 11)])
-        assert check_mis(graph, {2, 10, 11}) == CheckResult(
+        assert check_ruling_set(graph, {2, 10, 11}, beta=1, independent=True) == CheckResult(
             valid=False, reason="S contains adjacent nodes 10, 11"
         )
 
@@ -272,14 +271,20 @@ class TestRulingSetReasonParity:
                             assert check_ruling_set(
                                 target, solution, beta, independent=True
                             ) == expected, (target, type(solution), beta)
-            assert check_mis(graph, valid)
+            assert check_ruling_set(graph, valid, beta=1, independent=True)
             if planted != valid:
-                assert "adjacent" in check_mis(graph, planted).reason
-            assert not check_mis(graph, uncovered)
+                assert "adjacent" in check_ruling_set(
+                    graph, planted, beta=1, independent=True
+                ).reason
+            assert not check_ruling_set(graph, uncovered, beta=1, independent=True)
             if simple:
-                assert check_mis(network, _node_set(network, valid))
-                assert check_mis(network, uncovered) == check_mis(
-                    graph, _node_set(network, uncovered)
+                assert check_ruling_set(
+                    network, _node_set(network, valid), beta=1, independent=True
+                )
+                assert check_ruling_set(
+                    network, uncovered, beta=1, independent=True
+                ) == check_ruling_set(
+                    graph, _node_set(network, uncovered), beta=1, independent=True
                 )
 
 
@@ -512,7 +517,7 @@ class TestCheckerScale:
         graph = nx.random_regular_graph(4, 20_000, seed=0)
         independent_set = _seeded_mis(graph, random.Random(0))
         start = time.perf_counter()
-        result = check_mis(graph, independent_set)
+        result = check_ruling_set(graph, independent_set, beta=1, independent=True)
         elapsed = time.perf_counter() - start
         assert result
         # A pairwise scan of S makes ~2·10⁷ has_edge calls here; the

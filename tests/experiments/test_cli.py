@@ -18,7 +18,7 @@ class TestCli:
         out_file = tmp_path / "smoke.json"
         assert main(["smoke", "--out", str(out_file)]) == 0
         payload = json.loads(out_file.read_text())
-        assert payload["schema"] == "repro.experiments/v1"
+        assert payload["schema"] == "repro.experiments/v2"
         assert payload["suite"] == "smoke"
         assert payload["ok"] is True
         summary = capsys.readouterr().err

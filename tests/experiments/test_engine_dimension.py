@@ -3,15 +3,16 @@
 import pytest
 
 from repro import api
+from repro.api.engines import DEFAULT_ENGINE
 from repro.experiments import Scenario, execute_scenario, get_scenario
 from repro.experiments.cli import main
 from repro.experiments.runner import Runner
 
 
 class TestScenarioEngineField:
-    def test_default_engine_is_object(self):
-        scenario = Scenario.create("s", pipeline="mis_supported")
-        assert scenario.engine == "object"
+    def test_default_engine_is_the_api_default(self):
+        assert Scenario.create("s", pipeline="mis_supported").engine == DEFAULT_ENGINE
+        assert Scenario("s", pipeline="mis_supported").engine == DEFAULT_ENGINE
 
     def test_with_engine_retargets(self):
         scenario = Scenario.create("s", pipeline="mis_supported")

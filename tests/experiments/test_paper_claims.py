@@ -2,9 +2,10 @@
 
 Every case replaces the dependency one claim rests on with a version under
 which the claim is false, and the scenario must then fail.  One case per
-check a record's ``valid`` carries beyond its checker: the shape and count
-checks of the existing pipelines, and each scenario for a figure or
-statement (README's claims table lists them all).
+check a record's ``valid`` carries: the validity check of each pipeline
+that checks a solution (a checker it calls, or the ``solve`` façade's
+check), the shape and count checks of the existing pipelines, and each
+scenario for a figure or statement (README's claims table lists them all).
 """
 
 from types import SimpleNamespace
@@ -25,6 +26,18 @@ def _falling_rounds(solve):
     return falling
 
 
+def _failing_check(solve):
+    def failing(*args, **kwargs):
+        report = solve(*args, **kwargs)
+        return SimpleNamespace(outputs=report.outputs, rounds=report.rounds, valid=False)
+
+    return failing
+
+
+def _rejects(_checker):
+    return lambda *args: False
+
+
 def _labels_of_a_maximum_matching(matching_to_labels):
     # A valid M/O/P labeling, but of a larger matching than the one solved.
     def labels(graph, _matching):
@@ -42,6 +55,24 @@ def _with_edge(edge):
 
 
 CASES = [
+    pytest.param(
+        "matching", "thm41-proposal-sweep", "check_maximal_matching", _rejects,
+        id="thm41-maximal-matching-check",
+    ),
+    pytest.param(
+        "matching", "fig3-formalism-labels", "check_bipartite_solution", _rejects,
+        id="fig3-labeling-check",
+    ),
+    pytest.param(
+        "arbdefective", "thm51-extraction", "check_proper_coloring", _rejects,
+        id="thm51-proper-coloring-check",
+    ),
+    pytest.param(
+        "ruling_sets", "thm61-peeling", "solve", _failing_check,
+        id="thm61-ruling-set-check",
+    ),
+    pytest.param("mis", "aapr23-petersen", "solve", _failing_check, id="aapr23-mis-check"),
+    pytest.param("mis", "luby-petersen", "solve", _failing_check, id="luby-mis-check"),
     pytest.param(
         "matching", "thm41-proposal-sweep", "solve", _falling_rounds,
         id="thm41-rounds-never-fall",

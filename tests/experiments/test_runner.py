@@ -38,7 +38,7 @@ class TestParallelSerialEquality:
             "smoke", get_suite("smoke")[:2]
         )
         payload = result.payload()
-        assert payload["schema"] == "repro.experiments/v1"
+        assert payload["schema"] == "repro.experiments/v2"
         assert payload["suite"] == "smoke"
         assert payload["ok"] is True
         assert payload["digest"]
